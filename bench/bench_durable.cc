@@ -1,8 +1,7 @@
 // Durable-ingest microbenchmark: per-record vs group-commit WAL under
 // concurrent writers (google-benchmark --benchmark_filter=bench_durable
-// in the perf-smoke CI leg; the committed artifact with the headline
-// writer sweep is BENCH_durable_scaling.json from `rps_tool
-// durablebench`, which uses the stronger kSync barrier).
+// in the perf-smoke CI leg; perfbench's `durable` workload measures
+// the same path end to end).
 //
 // Every Insert is durable before it returns in both modes; the modes
 // differ only in how many barriers N concurrent writers pay. With
@@ -44,7 +43,7 @@ void SetupEngine(bool group_commit) {
   options.group.barrier = WalBarrier::kFlush;
   auto created = DurableOlapEngine::Create(std::move(schema),
                                            EngineMethod::kRelativePrefixSum,
-                                           /*shards=*/0, g_dir, options);
+                                           /*shards=*/1, g_dir, options);
   RPS_CHECK(created.ok());
   g_engine = std::move(created).value();
 }

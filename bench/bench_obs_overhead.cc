@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -25,7 +26,7 @@
 #include "core/relative_prefix_sum.h"
 #include "obs/event_log.h"
 #include "obs/gate.h"
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "olap/query.h"
 #include "olap/schema.h"
 #include "workload/data_gen.h"
@@ -93,10 +94,12 @@ void BM_CoreRangeSum(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreRangeSum)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-OlapEngine MakeEngine() {
+/// The serving engine at one shard, the plain case.
+std::unique_ptr<ShardedOlapEngine> MakeEngine() {
   Schema schema("MEASURE", {Dimension::Integer("x", 0, 64),
                             Dimension::Integer("y", 0, 64)});
-  OlapEngine engine(std::move(schema), EngineMethod::kRelativePrefixSum);
+  auto engine = std::make_unique<ShardedOlapEngine>(
+      std::move(schema), EngineMethod::kRelativePrefixSum, /*shards=*/1);
   std::vector<OlapRecord> records;
   for (int64_t x = 0; x < 64; ++x) {
     for (int64_t y = 0; y < 64; y += 4) {
@@ -106,30 +109,30 @@ OlapEngine MakeEngine() {
       records.push_back(std::move(record));
     }
   }
-  engine.Load(records);
+  engine->Load(records);
   return engine;
 }
 
-/// The full engine query path: RequestScope + TraceSpan + histogram
-/// observation around the core range sum. The headline overhead
-/// number: instrumented (Arg 1) vs RPS_OBS_OFF (Arg 0).
+/// The full engine query path: schema resolve, epoch pin, RequestScope
+/// and histogram observation around the core range sum. The headline
+/// overhead number: instrumented (Arg 1) vs RPS_OBS_OFF (Arg 0).
 void BM_EngineSum(benchmark::State& state) {
   const GateScope gate(state.range(0) != 0);
-  OlapEngine engine = MakeEngine();
+  const std::unique_ptr<ShardedOlapEngine> engine = MakeEngine();
   RangeQuery query;
   query.WhereIntBetween("x", 8, 55);
   query.WhereIntBetween("y", 8, 55);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Sum(query));
+    benchmark::DoNotOptimize(engine->Sum(query));
   }
 }
 BENCHMARK(BM_EngineSum)->Arg(1)->Arg(0);
 
-/// The engine update path (point insert into SUM and COUNT
-/// structures) under the same comparison.
+/// The engine update path (shard clone, point insert into SUM and
+/// COUNT structures, publish) under the same comparison.
 void BM_EngineInsert(benchmark::State& state) {
   const GateScope gate(state.range(0) != 0);
-  OlapEngine engine = MakeEngine();
+  const std::unique_ptr<ShardedOlapEngine> engine = MakeEngine();
   std::vector<OlapRecord> records;
   for (int i = 0; i < 256; ++i) {
     OlapRecord record;
@@ -140,7 +143,7 @@ void BM_EngineInsert(benchmark::State& state) {
   }
   size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Insert(records[next]));
+    benchmark::DoNotOptimize(engine->Insert(records[next]));
     next = (next + 1) & 255;
   }
 }

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <string>
 
-#include "olap/concurrent_engine.h"
+#include "olap/sharded_engine.h"
 #include "olap/csv_loader.h"
 #include "olap/group_by.h"
 #include "util/random.h"
@@ -51,7 +51,7 @@ int main() {
     std::printf("  %s\n", error.c_str());
   }
 
-  rps::OlapEngine engine(schema, rps::EngineMethod::kRelativePrefixSum);
+  rps::ShardedOlapEngine engine(schema, rps::EngineMethod::kRelativePrefixSum);
   const rps::IngestReport loaded = engine.Load(parsed.value().records);
   std::printf("loaded %lld records\n\n",
               static_cast<long long>(loaded.accepted));

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -43,7 +43,7 @@ std::vector<rps::OlapRecord> SyntheticSeason(int64_t records, uint64_t seed) {
 }
 
 void RunScenario(rps::EngineMethod method) {
-  rps::OlapEngine engine(MakeSchema(), method);
+  rps::ShardedOlapEngine engine(MakeSchema(), method);
   const rps::IngestReport loaded = engine.Load(SyntheticSeason(50000, 7));
 
   // The live day: 2000 fresh sales interleaved with analyst queries.

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "util/random.h"
 
 namespace {
@@ -47,7 +47,8 @@ std::vector<rps::OlapRecord> SyntheticOrders(int64_t count, uint64_t seed) {
 }  // namespace
 
 int main() {
-  rps::OlapEngine engine(MakeSchema(), rps::EngineMethod::kRelativePrefixSum);
+  rps::ShardedOlapEngine engine(MakeSchema(),
+                                rps::EngineMethod::kRelativePrefixSum);
   const rps::IngestReport report = engine.Load(SyntheticOrders(120000, 99));
   std::printf("loaded %lld orders into a %s cube\n",
               static_cast<long long>(report.accepted),

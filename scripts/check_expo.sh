@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI smoke check for the exposition server (docs/OBSERVABILITY.md):
-# starts `rps_tool serve` on an ephemeral port with the slow-query log
-# armed and an event-log sink attached, scrapes every endpoint while
-# the serve workload runs, and validates the live /metrics.json scrape
-# with scripts/check_metrics_schema.py --url. Fails if any endpoint is
+# starts `rps_tool serve --durable group` (the serving engine behind a
+# group-commit WAL, so /healthz has both its engine and its durable
+# source) on an ephemeral port with the slow-query log armed and an
+# event-log sink attached, scrapes every endpoint while the serve
+# workload runs, and validates the live /metrics.json scrape with
+# scripts/check_metrics_schema.py --url. Fails if any endpoint is
 # unreachable, malformed, or missing its contract fields.
 #
 # Usage: scripts/check_expo.sh [build-dir]   (default: build/release)
@@ -30,7 +32,7 @@ trap cleanup EXIT
 port_file="$work/port"
 "$tool" serve --shape 32x32 --port 0 --port-file "$port_file" \
   --duration-s 8 --readers 2 --slow-query-us 1 \
-  --event-log "$work/events.jsonl" --dir "$work/durable" \
+  --event-log "$work/events.jsonl" --durable group --dir "$work/durable" \
   > "$work/serve.log" 2>&1 &
 serve_pid=$!
 
@@ -77,6 +79,7 @@ require "$work/metrics" '^# TYPE rps_' "/metrics Prometheus text"
 
 fetch "$base/debug/slow" > "$work/slow"
 require "$work/slow" '"spans":\[' "/debug/slow span trees"
+require "$work/slow" '"op":"engine\.' "/debug/slow serving-engine records"
 
 # The live JSON exposition, validated by the schema checker itself
 # (structure only: the serve workload does not touch every subsystem

@@ -21,14 +21,3 @@ for b in build/bench/bench_*; do
       "$b" ;;
   esac
 done 2>&1 | tee bench_output.txt
-# Shard-scaling experiment (docs/PERFORMANCE.md): mixed reader/writer
-# workload over the serving engines, locked facade baseline plus
-# sharded 1/2/4/8.
-build/tools/rps_tool shardbench --out BENCH_shard_scaling.json \
-  2>&1 | tee -a bench_output.txt
-# Durable-ingest scaling (docs/PERFORMANCE.md): group-commit vs
-# per-record WAL at the full fsync barrier across writer counts.
-# --batch 2 pairs records per enqueue (the batched-ingest fast path);
-# the batch size is recorded in the JSON.
-build/tools/rps_tool durablebench --batch 2 \
-  --out BENCH_durable_scaling.json 2>&1 | tee -a bench_output.txt

@@ -285,9 +285,9 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// a prefix lookup needs one anchor value, the border values of the
   /// target's projections, and one RP cell). Counters accumulate
   /// across queries, per instance, backed by obs::RelaxedCounter so
-  /// concurrent readers (ConcurrentOlapEngine) stay race-free;
-  /// lookup_stats() returns a snapshot, exact only when no query runs
-  /// concurrently. Process-wide operation totals go to the
+  /// concurrent readers (the serving engine's pinned views) stay
+  /// race-free; lookup_stats() returns a snapshot, exact only when no
+  /// query runs concurrently. Process-wide operation totals go to the
   /// MetricRegistry (rps_core_rps_*) instead.
   struct LookupStats {
     int64_t overlay_reads = 0;

@@ -120,7 +120,7 @@ bool EventRing::TryPop(WideEvent* out) {
   return true;
 }
 
-EventLog::EventLog(int64_t ring_capacity) : ring_(ring_capacity) {
+EventLog::EventLog(int64_t ring_capacity) : ring_capacity_(ring_capacity) {
   MetricRegistry& registry = MetricRegistry::Global();
   emitted_total_ = &registry.GetCounter("rps_event_log_emitted_total");
   dropped_total_ = &registry.GetCounter("rps_event_log_dropped_total");
@@ -145,9 +145,10 @@ Status EventLog::Open(const std::string& path) {
     return Status::IoError("cannot open event log " + path);
   }
   file_ = file;
+  if (ring_ == nullptr) ring_ = std::make_unique<EventRing>(ring_capacity_);
   stop_.store(false, std::memory_order_relaxed);
   drainer_ = std::thread([this, file] { DrainLoop(file); });
-  active_.store(true, std::memory_order_relaxed);
+  active_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -162,8 +163,8 @@ void EventLog::Close() {
 }
 
 void EventLog::Emit(const WideEvent& event) {
-  if (!active()) return;
-  if (ring_.TryPush(event)) {
+  if (!active_.load(std::memory_order_acquire)) return;
+  if (ring_->TryPush(event)) {
     emitted_.fetch_add(1, std::memory_order_relaxed);
     emitted_total_->Increment();
   } else {
@@ -180,7 +181,7 @@ void EventLog::DrainLoop(std::FILE* file) {
   // flipped `stop_` are still in the ring and must reach the file.
   for (bool last_pass = false;;) {
     bool wrote = false;
-    while (ring_.TryPop(&event)) {
+    while (ring_->TryPop(&event)) {
       line = RenderWideEventJson(event);
       line += '\n';
       if (std::fwrite(line.data(), 1, line.size(), file) == line.size()) {
@@ -294,7 +295,8 @@ RequestScope::RequestScope(WideEventKind kind, const char* op,
 
 RequestScope::~RequestScope() {
   if (!emit_ && !collect_) return;
-  event_.duration_nanos = watch_.ElapsedNanos();
+  event_.duration_nanos =
+      duration_nanos_ >= 0 ? duration_nanos_ : watch_.ElapsedNanos();
   if (collect_) {
     const int64_t threshold = SlowQueryLog::Global().threshold_nanos();
     if (threshold > 0 && event_.duration_nanos >= threshold) {

@@ -13,17 +13,17 @@
 // (`rps_event_log_dropped_total`), never blocking the serving thread.
 //
 // The slow-query log is the second half of the story: for requests
-// over a configurable latency threshold it keeps the full TraceSpan
-// tree (obs/trace.h SpanCollector), so a slow range-sum can be
+// over a configurable latency threshold it keeps the full span tree
+// (obs/trace.h SpanCollector), so a slow range-sum can be
 // attributed to a specific overlay/anchor access pattern rather than
 // a number. Recent slow queries are served on the exposition server's
 // /debug/slow endpoint (obs/expo_server.h).
 //
-// RequestScope is the one RAII that instrumented entry points
-// (OlapEngine, DurableRps, the workload driver) create per request;
-// it decides -- once, up front -- whether this request needs an event,
-// a span tree, both, or (observability off, no sink, no threshold)
-// nothing at all.
+// RequestScope is the one RAII that instrumented entry points (the
+// serving engine's operators, DurableRps, the workload driver) create
+// per request; it decides -- once, up front -- whether this request
+// needs an event, a span tree, both, or (observability off, no sink,
+// no threshold) nothing at all.
 
 #ifndef RPS_OBS_EVENT_LOG_H_
 #define RPS_OBS_EVENT_LOG_H_
@@ -118,7 +118,8 @@ class EventRing {
 
 /// The wide-event pipeline: producers Emit into the ring, a
 /// background drainer renders JSONL and appends to the sink file.
-/// Inactive (no sink) the log costs one relaxed load per request.
+/// Inactive (no sink) the log costs one relaxed load per request and
+/// holds no ring.
 class EventLog {
  public:
   static constexpr int64_t kDefaultRingCapacity = 8192;
@@ -152,7 +153,12 @@ class EventLog {
  private:
   void DrainLoop(std::FILE* file);
 
-  EventRing ring_;
+  const int64_t ring_capacity_;
+  /// Allocated by the first Open(), so a process that never opens a
+  /// sink never pays for the ring's memory, and kept until
+  /// destruction. Producers reach it only after an acquire load of
+  /// active_ that pairs with Open's release store.
+  std::unique_ptr<EventRing> ring_;
   std::atomic<bool> active_{false};
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> emitted_{0};
@@ -239,6 +245,7 @@ class RequestScope {
   ~RequestScope();
 
   void set_box_volume(int64_t cells) { event_.box_volume = cells; }
+  void add_box_volume(int64_t cells) { event_.box_volume += cells; }
   void set_cells(int64_t primary, int64_t aux) {
     event_.primary_cells = primary;
     event_.aux_cells = aux;
@@ -250,12 +257,21 @@ class RequestScope {
   void add_wal_bytes(int64_t bytes) { event_.wal_bytes += bytes; }
   void set_ok(bool ok) { event_.ok = ok; }
 
+  /// Stops the request clock and returns the latency so far. The
+  /// destructor reuses the last stop, so a caller that also feeds a
+  /// latency histogram from it reads the clock twice per request.
+  int64_t Stop() {
+    duration_nanos_ = watch_.ElapsedNanos();
+    return duration_nanos_;
+  }
+
   /// 0 when the request is not being recorded.
   uint64_t trace_id() const { return event_.trace_id; }
 
  private:
   WideEvent event_;
   Stopwatch watch_;
+  int64_t duration_nanos_ = -1;  // set by Stop()
   bool emit_ = false;     // wide event wanted
   bool collect_ = false;  // span tree wanted
   std::optional<SpanCollector> collector_;

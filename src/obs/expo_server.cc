@@ -274,7 +274,6 @@ std::string ExpoServer::RenderHealthz() const {
 
 std::string ExpoServer::RenderVarz() const {
   EventLog& events = EventLog::Global();
-  TraceBuffer& trace = TraceBuffer::Global();
   SlowQueryLog& slow = SlowQueryLog::Global();
   std::string out = "{\"pid\":";
   out += std::to_string(::getpid());
@@ -282,11 +281,7 @@ std::string ExpoServer::RenderVarz() const {
   out += Enabled() ? "true" : "false";
   out += ",\"num_metrics\":";
   out += std::to_string(MetricRegistry::Global().num_metrics());
-  out += ",\"trace\":{\"recorded\":";
-  out += std::to_string(trace.total_recorded());
-  out += ",\"dropped\":";
-  out += std::to_string(trace.dropped());
-  out += "},\"event_log\":{\"active\":";
+  out += ",\"event_log\":{\"active\":";
   out += events.active() ? "true" : "false";
   out += ",\"emitted\":";
   out += std::to_string(events.emitted());

@@ -13,7 +13,7 @@
 //                  health source (engine status, durable-storage
 //                  generation, ...)
 //   /varz          process-level vitals: pid, obs gate, event-log and
-//                  trace-ring drop counts, registered varz sources
+//                  slow-query counts, registered varz sources
 //   /debug/slow    recent slow-query records with full span trees
 //                  (obs/event_log.h SlowQueryLog)
 //

@@ -82,6 +82,21 @@ std::string JsonLabels(const Labels& labels) {
   return out;
 }
 
+/// Every bucket of a histogram read once, plus their sum. Observers
+/// bump a bucket and the count with separate relaxed adds, so a scrape
+/// racing them renders this instead of Count() to stay
+/// self-consistent: the buckets always add up to the reported total.
+struct BucketSnapshot {
+  explicit BucketSnapshot(const Histogram& hist) {
+    for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+      counts[i] = hist.BucketCount(i);
+      total += counts[i];
+    }
+  }
+  int64_t counts[Histogram::kNumBuckets];
+  int64_t total = 0;
+};
+
 }  // namespace
 
 int Histogram::BucketIndex(int64_t nanos) {
@@ -266,12 +281,13 @@ std::string MetricRegistry::RenderText() const {
         break;
       case Kind::kHistogram: {
         const Histogram& hist = *entry.histogram;
-        const int64_t total = hist.Count();
+        const BucketSnapshot buckets(hist);
+        const int64_t total = buckets.total;
         // Elide the all-zero prefix and the all-full suffix of the
         // cumulative bucket lines; `+Inf` always closes the series.
         int64_t cumulative = 0;
         for (int i = 0; i < Histogram::kNumFiniteBuckets; ++i) {
-          cumulative += hist.BucketCount(i);
+          cumulative += buckets.counts[i];
           if (cumulative == 0) continue;
           const double le =
               static_cast<double>(Histogram::BucketBoundNanos(i)) * 1e-9;
@@ -327,8 +343,9 @@ std::string MetricRegistry::RenderJson() const {
         break;
       case Kind::kHistogram: {
         const Histogram& hist = *entry.histogram;
+        const BucketSnapshot buckets(hist);
         item += ",\"count\":";
-        item += std::to_string(hist.Count());
+        item += std::to_string(buckets.total);
         item += ",\"sum_seconds\":";
         item += FormatDouble(hist.SumSeconds());
         item += ",\"p50\":";
@@ -340,7 +357,7 @@ std::string MetricRegistry::RenderJson() const {
         item += ",\"buckets\":[";
         bool first = true;
         for (int i = 0; i < Histogram::kNumFiniteBuckets; ++i) {
-          const int64_t in_bucket = hist.BucketCount(i);
+          const int64_t in_bucket = buckets.counts[i];
           if (in_bucket == 0) continue;
           if (!first) item += ',';
           first = false;
@@ -352,8 +369,7 @@ std::string MetricRegistry::RenderJson() const {
           item += '}';
         }
         item += "],\"overflow\":";
-        item += std::to_string(
-            hist.BucketCount(Histogram::kNumFiniteBuckets));
+        item += std::to_string(buckets.counts[Histogram::kNumFiniteBuckets]);
         item += '}';
         if (!histograms.empty()) histograms += ',';
         histograms += item;

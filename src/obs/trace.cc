@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace rps::obs {
@@ -21,84 +20,6 @@ int64_t TraceNowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               epoch)
       .count();
-}
-
-TraceBuffer::TraceBuffer(int64_t capacity)
-    : capacity_(capacity < 1 ? 1 : capacity),
-      dropped_spans_metric_(
-          &MetricRegistry::Global().GetCounter("rps_trace_dropped_spans")) {
-  events_.reserve(static_cast<size_t>(capacity_));
-}
-
-TraceBuffer& TraceBuffer::Global() {
-  static TraceBuffer* const buffer = new TraceBuffer();
-  return *buffer;
-}
-
-void TraceBuffer::Record(const TraceEvent& event) {
-  MutexLock lock(&mutex_);
-  if (static_cast<int64_t>(events_.size()) < capacity_) {
-    events_.push_back(event);
-  } else {
-    events_[static_cast<size_t>(next_)] = event;
-    ++dropped_;
-    dropped_spans_metric_->Increment();
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
-}
-
-std::vector<TraceEvent> TraceBuffer::Snapshot() const {
-  MutexLock lock(&mutex_);
-  if (static_cast<int64_t>(events_.size()) < capacity_) {
-    return events_;  // not yet wrapped: already oldest-first
-  }
-  std::vector<TraceEvent> out;
-  out.reserve(events_.size());
-  for (int64_t i = 0; i < capacity_; ++i) {
-    out.push_back(events_[static_cast<size_t>((next_ + i) % capacity_)]);
-  }
-  return out;
-}
-
-int64_t TraceBuffer::total_recorded() const {
-  MutexLock lock(&mutex_);
-  return total_;
-}
-
-int64_t TraceBuffer::dropped() const {
-  MutexLock lock(&mutex_);
-  return dropped_;
-}
-
-void TraceBuffer::Clear() {
-  MutexLock lock(&mutex_);
-  events_.clear();
-  next_ = 0;
-  total_ = 0;
-  dropped_ = 0;
-}
-
-std::string TraceBuffer::RenderJson() const {
-  const std::vector<TraceEvent> events = Snapshot();
-  std::string out = "[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    if (i > 0) out += ',';
-    out += "{\"op\":\"";
-    out += event.op;
-    out += "\",\"start_nanos\":";
-    out += std::to_string(event.start_nanos);
-    out += ",\"duration_nanos\":";
-    out += std::to_string(event.duration_nanos);
-    out += ",\"primary_cells\":";
-    out += std::to_string(event.primary_cells);
-    out += ",\"aux_cells\":";
-    out += std::to_string(event.aux_cells);
-    out += '}';
-  }
-  out += ']';
-  return out;
 }
 
 SpanCollector::SpanCollector() : previous_(CurrentCollectorSlot()) {

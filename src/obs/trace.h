@@ -1,98 +1,20 @@
-// Per-operation query/update tracing into a bounded ring buffer.
+// Span trees for slow-request capture.
 //
-// A TraceSpan brackets one logical operation (an engine query, an
-// insert, a CLI command phase): it captures wall time on
-// construction, optionally collects a touched-cell breakdown, and on
-// destruction appends one TraceEvent to a TraceBuffer. The buffer is
-// a fixed-capacity ring -- the newest events overwrite the oldest, so
-// tracing is always on without unbounded memory, and a snapshot after
-// an incident shows the most recent operations. Overwrites are not
-// silent: every evicted event increments the process-wide
-// `rps_trace_dropped_spans` counter, so a scrape shows when the ring
-// is too small for the operation rate.
-//
-// Spans record at operation granularity (microseconds and up), not
-// per cell lookup, so the buffer's mutex is uncontended-cheap
-// relative to the work being traced; the hot cell paths stick to the
-// relaxed counters in obs/metrics.h.
-//
-// Span trees. While a SpanCollector is installed on a thread (the
-// slow-query log in obs/event_log.h does this for requests it may
-// need to explain), every TraceSpan and CollectorSpan that opens on
-// that thread also records into the collector, with parent indices
-// reconstructing the nesting. CollectorSpan is the cheap variant for
-// interior structure (one thread-local load when no collector is
-// active, and it never touches the TraceBuffer), so hot paths like
-// the core range-sum can expose themselves to slow-query capture
-// without paying the ring's mutex per operation.
+// While a SpanCollector is installed on a thread (the slow-query log
+// in obs/event_log.h does this for requests it may need to explain),
+// every CollectorSpan that opens on that thread records into the
+// collector, with parent indices reconstructing the nesting. With no
+// collector active a CollectorSpan costs one thread-local load, so hot
+// paths like the core range-sum can expose themselves to slow-query
+// capture without any shared write per operation.
 
 #ifndef RPS_OBS_TRACE_H_
 #define RPS_OBS_TRACE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "util/annotations.h"
-#include "util/mutex.h"
-#include "util/stopwatch.h"
-
 namespace rps::obs {
-
-class Counter;
-
-/// One completed operation. `op` must point at a string with static
-/// storage duration (a literal); events store the pointer only.
-struct TraceEvent {
-  const char* op = "";
-  int64_t start_nanos = 0;     // since the process trace epoch
-  int64_t duration_nanos = 0;
-  int64_t primary_cells = 0;   // touched main-array cells (RP), if known
-  int64_t aux_cells = 0;       // touched auxiliary cells (overlay), if known
-};
-
-/// Bounded MPMC ring of TraceEvents. Thread-safe; Record overwrites
-/// the oldest event once `capacity` is reached (counted in
-/// `rps_trace_dropped_spans` and dropped()).
-class TraceBuffer {
- public:
-  static constexpr int64_t kDefaultCapacity = 4096;
-
-  explicit TraceBuffer(int64_t capacity = kDefaultCapacity);
-
-  /// The process-wide buffer TraceSpan records into by default.
-  static TraceBuffer& Global();
-
-  void Record(const TraceEvent& event);
-
-  /// Retained events, oldest first.
-  std::vector<TraceEvent> Snapshot() const;
-
-  /// Events ever recorded (>= retained when the ring has wrapped).
-  int64_t total_recorded() const;
-
-  /// Events overwritten before anyone could snapshot them.
-  int64_t dropped() const;
-
-  int64_t capacity() const { return capacity_; }
-
-  void Clear();
-
-  /// JSON array of the retained events, oldest first.
-  std::string RenderJson() const;
-
- private:
-  const int64_t capacity_;
-  // All TraceBuffer instances feed the one process-wide drop counter;
-  // per-instance exactness lives in dropped().
-  Counter* const dropped_spans_metric_;
-  mutable Mutex mutex_{"TraceBuffer.mutex"};
-  // Ring storage, size <= capacity_.
-  std::vector<TraceEvent> events_ GUARDED_BY(mutex_);
-  int64_t next_ GUARDED_BY(mutex_) = 0;  // ring write position
-  int64_t total_ GUARDED_BY(mutex_) = 0;
-  int64_t dropped_ GUARDED_BY(mutex_) = 0;
-};
 
 /// Nanoseconds since the process trace epoch (first use).
 int64_t TraceNowNanos();
@@ -141,59 +63,9 @@ class SpanCollector {
   SpanCollector* previous_ = nullptr;
 };
 
-/// RAII span: times construction-to-destruction and records one
-/// event (and, when a SpanCollector is active on this thread, one
-/// tree node). Move-free and copy-free by design; create one per
-/// operation on the stack.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* op, TraceBuffer* buffer = nullptr)
-      : op_(op),
-        buffer_(buffer != nullptr ? buffer : &TraceBuffer::Global()),
-        collector_(SpanCollector::Current()),
-        start_nanos_(TraceNowNanos()) {
-    if (collector_ != nullptr) {
-      index_ = collector_->OnSpanStart(op_, start_nanos_);
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// Attaches a touched-cell breakdown (e.g. from UpdateStats).
-  void SetCells(int64_t primary, int64_t aux) {
-    primary_cells_ = primary;
-    aux_cells_ = aux;
-  }
-
-  ~TraceSpan() {
-    TraceEvent event;
-    event.op = op_;
-    event.start_nanos = start_nanos_;
-    event.duration_nanos = watch_.ElapsedNanos();
-    event.primary_cells = primary_cells_;
-    event.aux_cells = aux_cells_;
-    buffer_->Record(event);
-    if (collector_ != nullptr) {
-      collector_->OnSpanEnd(index_, event.duration_nanos, primary_cells_,
-                            aux_cells_);
-    }
-  }
-
- private:
-  const char* op_;
-  TraceBuffer* buffer_;
-  SpanCollector* collector_;
-  int index_ = -1;
-  int64_t start_nanos_;
-  Stopwatch watch_;
-  int64_t primary_cells_ = 0;
-  int64_t aux_cells_ = 0;
-};
-
-/// Collector-only span: records a tree node when (and only when) a
+/// RAII span: records a tree node when (and only when) a
 /// SpanCollector is active on this thread; otherwise costs one
-/// thread-local load. For interior operations too hot for the
-/// TraceBuffer mutex.
+/// thread-local load. Create one per operation on the stack.
 class CollectorSpan {
  public:
   explicit CollectorSpan(const char* op)

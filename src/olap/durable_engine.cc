@@ -26,7 +26,7 @@ DurableOlapEngine::DurableOlapEngine(Schema schema, EngineMethod method,
     : schema_(std::move(schema)),
       options_(options),
       directory_(std::move(directory)),
-      inner_(MakeServingEngine(schema_, method, shards, pool)),
+      inner_(schema_, method, shards, pool),
       mirror_sums_(schema_.CubeShape(), 0.0),
       mirror_counts_(schema_.CubeShape(), int64_t{0}) {}
 
@@ -184,7 +184,7 @@ Result<std::unique_ptr<DurableOlapEngine>> DurableOlapEngine::Open(
     opened.emplace(std::move(wal));
   }
 
-  RPS_RETURN_IF_ERROR(engine->inner_->LoadCells(sums, counts));
+  RPS_RETURN_IF_ERROR(engine->inner_.LoadCells(sums, counts));
   {
     MutexLock lock(&engine->mirror_mu_);
     engine->mirror_sums_ = std::move(sums);
@@ -263,7 +263,7 @@ Status DurableOlapEngine::Insert(const OlapRecord& record) {
     mirror_sums_.at(cell) += record.measure;
     mirror_counts_.at(cell) += 1;
   }
-  const Status inserted = inner_->Insert(record);
+  const Status inserted = inner_.Insert(record);
   EndApply();
   return inserted;
 }
@@ -295,7 +295,7 @@ Status DurableOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
       mirror_counts_.at(cells[i]) += deltas[i].count;
     }
   }
-  const Status inserted = inner_->InsertBatch(records);
+  const Status inserted = inner_.InsertBatch(records);
   EndApply();
   return inserted;
 }
@@ -337,7 +337,7 @@ Status DurableOlapEngine::LoadCells(const NdArray<double>& sums,
       mirror_sums_ = sums;
       mirror_counts_ = counts;
     }
-    const Status loaded = inner_->LoadCells(sums, counts);
+    const Status loaded = inner_.LoadCells(sums, counts);
     rotating_ = false;
     gate_cv_.NotifyAll();
     RPS_RETURN_IF_ERROR(loaded);
@@ -494,7 +494,7 @@ std::string DurableOlapEngine::HealthJson() const {
   out += std::to_string(group_wal_ != nullptr ? group_wal_->queue_depth()
                                               : 0);
   out += "},\"engine\":";
-  out += inner_->HealthJson();
+  out += inner_.HealthJson();
   out += '}';
   return out;
 }

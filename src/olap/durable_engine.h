@@ -1,7 +1,6 @@
-// Durable ingest for the serving engines.
+// Durable ingest for the serving engine.
 //
-// Wraps any OlapServingEngine (the single-lock facade or the sharded
-// epoch-versioned engine) with a write-ahead log so that accepted
+// Wraps a ShardedOlapEngine with a write-ahead log so that accepted
 // records survive a process death. The on-disk layout reuses the
 // storage layer's generation discipline (storage/durable_rps.h):
 //   CURRENT      -- manifest naming the live generation N
@@ -44,7 +43,7 @@
 #include <vector>
 
 #include "cube/nd_array.h"
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "storage/durable_rps.h"
 #include "storage/group_commit.h"
 #include "storage/wal.h"
@@ -67,7 +66,7 @@ class DurableOlapEngine final : public OlapServingEngine {
 
   /// Creates a fresh durable engine over an empty cube in `directory`
   /// (which must exist): commits generation 1 (empty base + empty
-  /// log). `shards` routes exactly like MakeServingEngine.
+  /// log). `shards` sizes the inner engine as in MakeServingEngine.
   static Result<std::unique_ptr<DurableOlapEngine>> Create(
       Schema schema, EngineMethod method, int shards,
       const std::string& directory, const DurableOptions& options = {},
@@ -86,10 +85,10 @@ class DurableOlapEngine final : public OlapServingEngine {
 
   ~DurableOlapEngine() override;
 
-  const char* strategy() const override { return "durable"; }
   const Schema& schema() const override { return schema_; }
-  /// The wrapped serving engine (queries go straight to it).
-  const OlapServingEngine& inner() const { return *inner_; }
+  /// The wrapped serving engine (queries go straight to it, and every
+  /// read operator runs on it).
+  const ShardedOlapEngine& inner() const { return inner_; }
 
   IngestReport Load(const std::vector<OlapRecord>& records) override;
   Status LoadCells(const NdArray<double>& sums,
@@ -98,22 +97,22 @@ class DurableOlapEngine final : public OlapServingEngine {
   Status InsertBatch(std::span<const OlapRecord> records) override;
 
   Result<double> Sum(const RangeQuery& query) const override {
-    return inner_->Sum(query);
+    return inner_.Sum(query);
   }
   Result<std::vector<double>> QueryBatch(
       std::span<const RangeQuery> queries) const override {
-    return inner_->QueryBatch(queries);
+    return inner_.QueryBatch(queries);
   }
   Result<int64_t> Count(const RangeQuery& query) const override {
-    return inner_->Count(query);
+    return inner_.Count(query);
   }
   Result<double> Average(const RangeQuery& query) const override {
-    return inner_->Average(query);
+    return inner_.Average(query);
   }
   Result<std::vector<double>> RollingSum(const RangeQuery& query,
                                          const std::string& dimension,
                                          int64_t window) const override {
-    return inner_->RollingSum(query, dimension, window);
+    return inner_.RollingSum(query, dimension, window);
   }
 
   /// Persists the current cube as the next generation (pipelined;
@@ -177,7 +176,7 @@ class DurableOlapEngine final : public OlapServingEngine {
   const Schema schema_;
   const DurableOptions options_;
   const std::string directory_;
-  std::unique_ptr<OlapServingEngine> inner_;
+  ShardedOlapEngine inner_;
 
   /// Apply gate (see DurableRps::SyncState): Adds hold it across
   /// log-append -> memory-apply; rotation drains it.

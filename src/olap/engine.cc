@@ -1,11 +1,6 @@
 #include "olap/engine.h"
 
-#include <algorithm>
-
 #include "core/hierarchical_rps.h"
-#include "obs/event_log.h"
-#include "obs/trace.h"
-#include "util/stopwatch.h"
 
 namespace rps {
 
@@ -61,219 +56,6 @@ std::unique_ptr<QueryMethod<int64_t>> MakeCountMethod(EngineMethod method,
       return std::make_unique<HierarchicalRps<int64_t>>(empty, pool);
   }
   return nullptr;
-}
-
-OlapEngine::OlapEngine(Schema schema, EngineMethod method, ThreadPool* pool)
-    : schema_(std::move(schema)),
-      method_(method),
-      pool_(pool),
-      sums_(MakeDoubleMethod(method, schema_.CubeShape(), pool)),
-      counts_(MakeCountMethod(method, schema_.CubeShape(), pool)) {
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  const obs::Labels labels = {{"method", EngineMethodName(method)}};
-  queries_total_ = &registry.GetCounter("rps_engine_queries_total", labels);
-  inserts_total_ = &registry.GetCounter("rps_engine_inserts_total", labels);
-  query_seconds_ =
-      &registry.GetHistogram("rps_engine_query_seconds", labels);
-  insert_seconds_ =
-      &registry.GetHistogram("rps_engine_insert_seconds", labels);
-}
-
-IngestReport OlapEngine::Load(const std::vector<OlapRecord>& records) {
-  IngestReport report;
-  const Shape shape = schema_.CubeShape();
-  NdArray<double> sums(shape, 0.0);
-  NdArray<int64_t> counts(shape, 0);
-  for (const OlapRecord& record : records) {
-    const Result<CellIndex> cell = schema_.CellOf(record.values);
-    if (!cell.ok()) {
-      ++report.rejected;
-      continue;
-    }
-    sums.at(cell.value()) += record.measure;
-    counts.at(cell.value()) += 1;
-    ++report.accepted;
-  }
-  sums_->Build(sums);
-  counts_->Build(counts);
-  return report;
-}
-
-Status OlapEngine::LoadCells(const NdArray<double>& sums,
-                             const NdArray<int64_t>& counts) {
-  const Shape shape = schema_.CubeShape();
-  if (!(sums.shape() == shape) || !(counts.shape() == shape)) {
-    return Status::InvalidArgument("LoadCells shape mismatch: want " +
-                                   shape.ToString());
-  }
-  sums_->Build(sums);
-  counts_->Build(counts);
-  return Status::Ok();
-}
-
-Status OlapEngine::Insert(const OlapRecord& record) {
-  RPS_ASSIGN_OR_RETURN(const CellIndex cell, schema_.CellOf(record.values));
-  obs::RequestScope request(obs::WideEventKind::kUpdate, "engine.insert",
-                            EngineMethodName(method_));
-  obs::TraceSpan span("engine.insert");
-  const Stopwatch watch;
-  const UpdateStats sum_stats = sums_->Add(cell, record.measure);
-  const UpdateStats count_stats = counts_->Add(cell, 1);
-  update_cells_ += sum_stats.total() + count_stats.total();
-  insert_seconds_->ObserveNanos(watch.ElapsedNanos());
-  inserts_total_->Increment();
-  const int64_t primary = sum_stats.primary_cells + count_stats.primary_cells;
-  const int64_t aux = sum_stats.aux_cells + count_stats.aux_cells;
-  span.SetCells(primary, aux);
-  request.set_cells(primary, aux);
-  return Status::Ok();
-}
-
-Result<double> OlapEngine::Sum(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  obs::RequestScope request(obs::WideEventKind::kQuery, "engine.sum",
-                            EngineMethodName(method_));
-  request.set_box_volume(range.NumCells());
-  obs::TraceSpan span("engine.sum");
-  const Stopwatch watch;
-  const double sum = sums_->RangeSum(range);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  queries_total_->Increment();
-  return sum;
-}
-
-Result<std::vector<double>> OlapEngine::QueryBatch(
-    std::span<const RangeQuery> queries) const {
-  // Resolve everything first so a bad query fails the whole batch
-  // before any work runs.
-  std::vector<Box> ranges;
-  ranges.reserve(queries.size());
-  int64_t volume = 0;
-  for (const RangeQuery& query : queries) {
-    RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-    volume += range.NumCells();
-    ranges.push_back(range);
-  }
-  obs::RequestScope request(obs::WideEventKind::kQuery, "engine.sum_batch",
-                            EngineMethodName(method_));
-  request.set_box_volume(volume);
-  obs::TraceSpan span("engine.sum_batch");
-  const Stopwatch watch;
-  std::vector<double> results(ranges.size());
-  sums_->RangeSumBatch(ranges, results);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  queries_total_->Increment(static_cast<int64_t>(queries.size()));
-  return results;
-}
-
-Result<int64_t> OlapEngine::Count(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  obs::RequestScope request(obs::WideEventKind::kQuery, "engine.count",
-                            EngineMethodName(method_));
-  request.set_box_volume(range.NumCells());
-  obs::TraceSpan span("engine.count");
-  const Stopwatch watch;
-  const int64_t count = counts_->RangeSum(range);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  queries_total_->Increment();
-  return count;
-}
-
-Result<double> OlapEngine::Average(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  obs::RequestScope request(obs::WideEventKind::kQuery, "engine.average",
-                            EngineMethodName(method_));
-  request.set_box_volume(range.NumCells());
-  obs::TraceSpan span("engine.average");
-  const Stopwatch watch;
-  const int64_t count = counts_->RangeSum(range);
-  if (count == 0) {
-    return Status::FailedPrecondition("AVERAGE over a range with no records");
-  }
-  const double average = sums_->RangeSum(range) / static_cast<double>(count);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  queries_total_->Increment();
-  return average;
-}
-
-Result<std::vector<double>> OlapEngine::RollingSum(
-    const RangeQuery& query, const std::string& dimension,
-    int64_t window) const {
-  if (window < 1) return Status::InvalidArgument("window must be >= 1");
-  RPS_ASSIGN_OR_RETURN(const int j, schema_.DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-
-  obs::RequestScope request(obs::WideEventKind::kQuery, "engine.rolling_sum",
-                            EngineMethodName(method_));
-  request.set_box_volume(range.NumCells());
-  obs::TraceSpan span("engine.rolling_sum");
-  const Stopwatch watch;
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(range.Extent(j)));
-  for (int64_t p = range.lo()[j]; p <= range.hi()[j]; ++p) {
-    CellIndex lo = range.lo();
-    CellIndex hi = range.hi();
-    lo[j] = std::max(range.lo()[j], p - window + 1);
-    hi[j] = p;
-    out.push_back(sums_->RangeSum(Box(lo, hi)));
-  }
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  queries_total_->Increment();
-  return out;
-}
-
-std::string OlapEngine::HealthJson() const {
-  std::string out = "{\"method\":\"";
-  out += EngineMethodName(method_);
-  out += "\",\"dims\":";
-  out += std::to_string(schema_.CubeShape().dims());
-  out += ",\"cube_cells\":";
-  out += std::to_string(schema_.CubeShape().num_cells());
-  out += ",\"update_cells\":";
-  out += std::to_string(update_cells_);
-  out += '}';
-  return out;
-}
-
-Result<Box> OlapEngine::ResolveQuery(const RangeQuery& query) const {
-  return query.Resolve(schema_);
-}
-
-Result<double> OlapEngine::SumOverCells(const Box& range) const {
-  if (!range.Within(schema_.CubeShape())) {
-    return Status::OutOfRange("box outside the cube");
-  }
-  return sums_->RangeSum(range);
-}
-
-Result<int64_t> OlapEngine::CountOverCells(const Box& range) const {
-  if (!range.Within(schema_.CubeShape())) {
-    return Status::OutOfRange("box outside the cube");
-  }
-  return counts_->RangeSum(range);
-}
-
-Result<std::vector<double>> OlapEngine::RollingAverage(
-    const RangeQuery& query, const std::string& dimension,
-    int64_t window) const {
-  if (window < 1) return Status::InvalidArgument("window must be >= 1");
-  RPS_ASSIGN_OR_RETURN(const int j, schema_.DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(range.Extent(j)));
-  for (int64_t p = range.lo()[j]; p <= range.hi()[j]; ++p) {
-    CellIndex lo = range.lo();
-    CellIndex hi = range.hi();
-    lo[j] = std::max(range.lo()[j], p - window + 1);
-    hi[j] = p;
-    const Box slab(lo, hi);
-    const int64_t count = counts_->RangeSum(slab);
-    out.push_back(count == 0
-                      ? 0.0
-                      : sums_->RangeSum(slab) / static_cast<double>(count));
-  }
-  return out;
 }
 
 }  // namespace rps

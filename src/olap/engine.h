@@ -1,13 +1,19 @@
-// The OLAP engine: records in, near-current range aggregates out.
+// The OLAP serving surface: records in, near-current range aggregates
+// out.
 //
-// Ties together the whole reproduction: a Schema describes the cube;
-// records are binned into SUM and COUNT cubes; a pluggable
-// QueryMethod (naive / prefix sum / relative prefix sum / Fenwick)
-// answers range aggregates; single-record inserts are point updates,
-// the workload the paper motivates ("companies ... tracking current
-// sales data, for which new information may arrive on a daily
-// basis"). AVERAGE = SUM/COUNT and rolling windows follow Ho et al.'s
-// reduction to range sums (Section 2).
+// A Schema describes the cube; records are binned into SUM and COUNT
+// cubes; a pluggable QueryMethod (naive / prefix sum / relative prefix
+// sum / Fenwick / hierarchical) answers range aggregates; inserts are
+// point updates, the workload the paper motivates ("companies ...
+// tracking current sales data, for which new information may arrive
+// on a daily basis"). AVERAGE = SUM/COUNT and rolling windows follow
+// Ho et al.'s reduction to range sums (Section 2).
+//
+// This header holds what every engine shares: the method factories,
+// the record types and the OlapServingEngine interface. The one
+// in-memory engine is ShardedOlapEngine (olap/sharded_engine.h; one
+// shard is the plain case); DurableOlapEngine (olap/durable_engine.h)
+// logs its writes.
 
 #ifndef RPS_OLAP_ENGINE_H_
 #define RPS_OLAP_ENGINE_H_
@@ -15,7 +21,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/fenwick_method.h"
@@ -23,7 +28,6 @@
 #include "core/prefix_sum_method.h"
 #include "core/relative_prefix_sum.h"
 #include "cube/nd_array.h"
-#include "obs/metrics.h"
 #include "olap/query.h"
 #include "olap/schema.h"
 #include "util/status.h"
@@ -66,23 +70,14 @@ struct IngestReport {
   int64_t rejected = 0;  // out-of-domain records (skipped)
 };
 
-/// Uniform read/write surface over the thread-safe serving engines:
-/// the single-lock facade (olap/concurrent_engine.h) and the sharded
-/// epoch-versioned engine (olap/sharded_engine.h). Drivers, tools and
-/// tests route between the two through MakeServingEngine and this
-/// interface, so a deployment can switch concurrency strategies
-/// without touching call sites.
+/// Read/write surface of the serving engines: ShardedOlapEngine and
+/// its durable wrapper. Drivers, tools and benchmarks hold engines
+/// through this interface (MakeServingEngine builds one).
 ///
-/// All methods are safe to call from any thread. Readers of the
-/// sharded implementation never block; the locked implementation
-/// serializes writers against readers.
+/// All methods are safe to call from any thread; readers never block.
 class OlapServingEngine {
  public:
   virtual ~OlapServingEngine() = default;
-
-  /// Strategy name for logs and health payloads ("locked" or
-  /// "sharded").
-  virtual const char* strategy() const = 0;
 
   virtual const Schema& schema() const = 0;
 
@@ -120,101 +115,12 @@ class OlapServingEngine {
   virtual std::string HealthJson() const = 0;
 };
 
-/// Routing factory: `shards` == 0 selects the single-lock facade,
-/// `shards` >= 1 the sharded engine with that many shards, and
-/// `shards` < 0 the sharded engine with its default shard count (the
-/// thread-pool worker count). Defined in sharded_engine.cc.
+/// The serving engine over `schema`: a ShardedOlapEngine with
+/// `shards` slices (< 1 means the thread-pool default). Defined in
+/// sharded_engine.cc.
 std::unique_ptr<OlapServingEngine> MakeServingEngine(
     Schema schema, EngineMethod method, int shards,
     ThreadPool* pool = &ThreadPool::Global());
-
-class OlapEngine {
- public:
-  /// An empty engine over `schema` using `method`. `pool` backs the
-  /// builds (Load) and large update scatters of pool-aware methods;
-  /// pass null for strictly serial execution.
-  OlapEngine(Schema schema, EngineMethod method,
-             ThreadPool* pool = &ThreadPool::Global());
-
-  const Schema& schema() const { return schema_; }
-  EngineMethod method() const { return method_; }
-  ThreadPool* thread_pool() const { return pool_; }
-
-  /// Bulk loads `records`, replacing current contents. Out-of-domain
-  /// records are counted and skipped.
-  IngestReport Load(const std::vector<OlapRecord>& records);
-
-  /// Rebuilds both structures from dense cube contents (see
-  /// OlapServingEngine::LoadCells). Shapes must match the schema.
-  Status LoadCells(const NdArray<double>& sums,
-                   const NdArray<int64_t>& counts);
-
-  /// Inserts one record (point update on SUM and COUNT structures);
-  /// the cost is the paper's update cost. Fails on out-of-domain
-  /// values.
-  Status Insert(const OlapRecord& record);
-
-  /// Total touched cells across both structures since construction
-  /// or ResetUpdateCost().
-  int64_t cumulative_update_cells() const { return update_cells_; }
-  void ResetUpdateCost() { update_cells_ = 0; }
-
-  /// SUM of the measure over the query range.
-  Result<double> Sum(const RangeQuery& query) const;
-
-  /// SUMs for a batch of queries in one call, sharing per-block work
-  /// between queries through QueryMethod::RangeSumBatch. Fails (and
-  /// answers nothing) if any query does not resolve against the
-  /// schema; otherwise returns one sum per query, in order.
-  Result<std::vector<double>> QueryBatch(
-      std::span<const RangeQuery> queries) const;
-
-  /// Number of records in the query range.
-  Result<int64_t> Count(const RangeQuery& query) const;
-
-  /// AVERAGE = SUM / COUNT; error when the range is empty of records.
-  Result<double> Average(const RangeQuery& query) const;
-
-  /// Rolling sums along `dimension`: for every index position p of
-  /// that dimension, the SUM over the query range restricted to
-  /// dimension slots [p - window + 1, p] (clamped at 0). This is the
-  /// paper's ROLLING SUM operator.
-  Result<std::vector<double>> RollingSum(const RangeQuery& query,
-                                         const std::string& dimension,
-                                         int64_t window) const;
-
-  /// Rolling AVERAGE over the same windows (0 where no records).
-  Result<std::vector<double>> RollingAverage(const RangeQuery& query,
-                                             const std::string& dimension,
-                                             int64_t window) const;
-
-  /// One JSON object describing the engine for /healthz health
-  /// sources (obs/expo_server.h): method, cube size, update volume.
-  std::string HealthJson() const;
-
-  /// Lower-level access for composed operators (GROUP BY, cross-tabs):
-  /// resolve a query to a cell Box and aggregate over explicit boxes.
-  Result<Box> ResolveQuery(const RangeQuery& query) const;
-  Result<double> SumOverCells(const Box& range) const;
-  Result<int64_t> CountOverCells(const Box& range) const;
-
- private:
-  Schema schema_;
-  EngineMethod method_;
-  ThreadPool* pool_;
-  std::unique_ptr<QueryMethod<double>> sums_;
-  std::unique_ptr<QueryMethod<int64_t>> counts_;
-  int64_t update_cells_ = 0;
-  // Registry-owned per-method observability (labels:
-  // method="<EngineMethodName>"); pointers are stable for the process
-  // lifetime. Every read query observes query_seconds_ and each
-  // Insert observes insert_seconds_ plus a TraceSpan with the
-  // touched-cell breakdown.
-  obs::Counter* queries_total_;
-  obs::Counter* inserts_total_;
-  obs::Histogram* query_seconds_;
-  obs::Histogram* insert_seconds_;
-};
 
 }  // namespace rps
 

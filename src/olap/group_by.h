@@ -1,7 +1,9 @@
 // GROUP BY over a range query: per-slot aggregates along one or two
 // dimensions, computed as a series of range sums (the data cube's
 // cross-tab use from Gray et al., built on the paper's range-sum
-// primitive).
+// primitive). Each operator answers every cell of its result from one
+// pinned version, so rows and columns are mutually consistent under
+// concurrent writers.
 
 #ifndef RPS_OLAP_GROUP_BY_H_
 #define RPS_OLAP_GROUP_BY_H_
@@ -13,7 +15,7 @@
 
 namespace rps {
 
-class OlapEngine;
+class ShardedOlapEngine;
 class RangeQuery;
 
 /// One output row of a 1-dimensional GROUP BY.
@@ -28,9 +30,10 @@ struct GroupRow {
 };
 
 /// SUM/COUNT of `query`'s range grouped by each slot of `dimension`
-/// (restricted to the query's range on that dimension). One range sum
-/// per slot: O(extent * 2^d) lookups with the RPS/PS engines.
-Result<std::vector<GroupRow>> GroupBy(const OlapEngine& engine,
+/// (restricted to the query's range on that dimension). One batched
+/// range sum per slot: O(extent * 2^d) lookups with the RPS/PS
+/// engines, fewer where neighbouring slots share corners.
+Result<std::vector<GroupRow>> GroupBy(const ShardedOlapEngine& engine,
                                       const RangeQuery& query,
                                       const std::string& dimension);
 
@@ -42,14 +45,14 @@ struct CrossTab {
   std::vector<std::vector<double>> sums;
 };
 
-Result<CrossTab> CrossTabulate(const OlapEngine& engine,
+Result<CrossTab> CrossTabulate(const ShardedOlapEngine& engine,
                                const RangeQuery& query,
                                const std::string& row_dimension,
                                const std::string& col_dimension);
 
 /// The `limit` group rows with the largest SUM, descending (ties keep
 /// slot order). limit <= 0 returns every row sorted.
-Result<std::vector<GroupRow>> TopSlotsBySum(const OlapEngine& engine,
+Result<std::vector<GroupRow>> TopSlotsBySum(const ShardedOlapEngine& engine,
                                             const RangeQuery& query,
                                             const std::string& dimension,
                                             int64_t limit);

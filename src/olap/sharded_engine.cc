@@ -1,19 +1,28 @@
 #include "olap/sharded_engine.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
-#include "olap/concurrent_engine.h"
+#include "olap/window.h"
 #include "util/stopwatch.h"
 
 namespace rps {
 
 namespace {
 
-/// Batches at least this large fan out over the thread pool; smaller
-/// ones stay serial (per-query work is O(2^d) -- parallelism only
-/// pays once the batch amortizes the chunk handoff).
-constexpr size_t kParallelBatchThreshold = 64;
+/// The structure of `shard` holding T: SUM for double, COUNT for
+/// int64_t.
+template <typename T, typename Shard>
+const QueryMethod<T>& StructureOf(const Shard& shard) {
+  if constexpr (std::is_same_v<T, double>) {
+    return *shard.sums;
+  } else {
+    return *shard.counts;
+  }
+}
+
+Status OutsideCube() { return Status::OutOfRange("box outside the cube"); }
 
 }  // namespace
 
@@ -21,10 +30,6 @@ std::unique_ptr<OlapServingEngine> MakeServingEngine(Schema schema,
                                                      EngineMethod method,
                                                      int shards,
                                                      ThreadPool* pool) {
-  if (shards == 0) {
-    return std::make_unique<ConcurrentOlapEngine>(std::move(schema), method,
-                                                  pool);
-  }
   return std::make_unique<ShardedOlapEngine>(std::move(schema), method,
                                              shards, pool);
 }
@@ -33,12 +38,12 @@ ShardedOlapEngine::ShardedOlapEngine(Schema schema, EngineMethod method,
                                      int shards, ThreadPool* pool,
                                      EpochDomain* domain)
     : schema_(std::move(schema)),
+      shape_(schema_.CubeShape()),
       method_(method),
       pool_(pool),
       domain_(domain) {
-  const Shape shape = schema_.CubeShape();
-  const int64_t rows = shape.extent(0);
-  if (shards <= 0) shards = ThreadPool::DefaultThreads();
+  const int64_t rows = shape_.extent(0);
+  if (shards < 1) shards = ThreadPool::DefaultThreads();
   const int64_t count = std::clamp<int64_t>(shards, 1, rows);
   starts_.reserve(static_cast<size_t>(count) + 1);
   // Balanced contiguous slices: the first (rows % count) shards get
@@ -108,12 +113,11 @@ int ShardedOlapEngine::ShardOf(int64_t row0) const {
 }
 
 Shape ShardedOlapEngine::ShardShape(int s) const {
-  const Shape shape = schema_.CubeShape();
   std::vector<int64_t> extents;
-  extents.reserve(static_cast<size_t>(shape.dims()));
+  extents.reserve(static_cast<size_t>(shape_.dims()));
   extents.push_back(starts_[static_cast<size_t>(s) + 1] -
                     starts_[static_cast<size_t>(s)]);
-  for (int j = 1; j < shape.dims(); ++j) extents.push_back(shape.extent(j));
+  for (int j = 1; j < shape_.dims(); ++j) extents.push_back(shape_.extent(j));
   return Shape::FromExtents(extents);
 }
 
@@ -122,52 +126,106 @@ uint64_t ShardedOlapEngine::generation() const {
   return version_.load(std::memory_order_acquire)->generation;
 }
 
-double ShardedOlapEngine::SumInVersion(const EngineVersion& version,
-                                       const Box& range) const {
-  const int first = ShardOf(range.lo()[0]);
-  const int last = ShardOf(range.hi()[0]);
-  double total = 0;
+Box ShardedOlapEngine::LocalBox(const Box& range, int s) const {
+  const int64_t base = starts_[static_cast<size_t>(s)];
+  CellIndex lo = range.lo();
+  CellIndex hi = range.hi();
+  lo[0] = std::max(lo[0], base) - base;
+  hi[0] = std::min(hi[0], starts_[static_cast<size_t>(s) + 1] - 1) - base;
+  return Box(lo, hi);
+}
+
+ShardedOlapEngine::ReadView::ReadView(const ShardedOlapEngine& engine,
+                                      const char* op)
+    : engine_(engine),
+      request_(obs::WideEventKind::kQuery, op,
+               EngineMethodName(engine.method_)),
+      span_(op),
+      guard_(*engine.domain_),
+      version_(engine.version_.load(std::memory_order_acquire)) {}
+
+ShardedOlapEngine::ReadView::~ReadView() {
+  engine_.query_seconds_->ObserveNanos(request_.Stop());
+}
+
+Result<Box> ShardedOlapEngine::ReadView::Resolve(
+    const RangeQuery& query) const {
+  Result<Box> range = query.Resolve(engine_.schema_);
+  if (range.ok()) {
+    request_.add_box_volume(range.value().NumCells());
+  } else {
+    request_.set_ok(false);
+  }
+  return range;
+}
+
+template <typename T>
+Result<T> ShardedOlapEngine::ReadView::Total(const Box& range) const {
+  if (!range.Within(engine_.shape_)) return OutsideCube();
+  const int first = engine_.ShardOf(range.lo()[0]);
+  const int last = engine_.ShardOf(range.hi()[0]);
+  T total = 0;
   for (int s = first; s <= last; ++s) {
-    const int64_t base = starts_[static_cast<size_t>(s)];
-    CellIndex lo = range.lo();
-    CellIndex hi = range.hi();
-    lo[0] = std::max(lo[0], base) - base;
-    hi[0] = std::min(hi[0], starts_[static_cast<size_t>(s) + 1] - 1) - base;
-    total += version.shards[static_cast<size_t>(s)]->sums->RangeSum(
-        Box(lo, hi));
+    total += StructureOf<T>(*version_->shards[static_cast<size_t>(s)])
+                 .RangeSum(engine_.LocalBox(range, s));
   }
   return total;
 }
 
-int64_t ShardedOlapEngine::CountInVersion(const EngineVersion& version,
-                                          const Box& range) const {
-  const int first = ShardOf(range.lo()[0]);
-  const int last = ShardOf(range.hi()[0]);
-  int64_t total = 0;
-  for (int s = first; s <= last; ++s) {
-    const int64_t base = starts_[static_cast<size_t>(s)];
-    CellIndex lo = range.lo();
-    CellIndex hi = range.hi();
-    lo[0] = std::max(lo[0], base) - base;
-    hi[0] = std::min(hi[0], starts_[static_cast<size_t>(s) + 1] - 1) - base;
-    total += version.shards[static_cast<size_t>(s)]->counts->RangeSum(
-        Box(lo, hi));
+template <typename T>
+Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
+    std::span<const Box> ranges) const {
+  for (const Box& range : ranges) {
+    if (!range.Within(engine_.shape_)) return OutsideCube();
   }
-  return total;
+  std::vector<T> out(ranges.size(), T{0});
+  if (engine_.shards() == 1) {
+    StructureOf<T>(*version_->shards[0]).RangeSumBatch(ranges, out);
+    return out;
+  }
+  // Each shard answers the clipped parts of the boxes that reach it
+  // in one batch; partial sums merge in shard order, as in Total.
+  std::vector<Box> local;
+  std::vector<size_t> owner;
+  std::vector<T> partial;
+  for (int s = 0; s < engine_.shards(); ++s) {
+    const int64_t first_row = engine_.starts_[static_cast<size_t>(s)];
+    const int64_t end_row = engine_.starts_[static_cast<size_t>(s) + 1];
+    local.clear();
+    owner.clear();
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      if (ranges[i].lo()[0] < end_row && ranges[i].hi()[0] >= first_row) {
+        local.push_back(engine_.LocalBox(ranges[i], s));
+        owner.push_back(i);
+      }
+    }
+    if (local.empty()) continue;
+    partial.assign(local.size(), T{0});
+    StructureOf<T>(*version_->shards[static_cast<size_t>(s)])
+        .RangeSumBatch(local, partial);
+    for (size_t k = 0; k < local.size(); ++k) out[owner[k]] += partial[k];
+  }
+  return out;
 }
 
-std::shared_ptr<const ShardedOlapEngine::ShardState>
-ShardedOlapEngine::BuildShard(int s, const NdArray<double>& sums,
-                              const NdArray<int64_t>& counts,
-                              uint64_t generation) const {
-  auto state = std::make_shared<ShardState>();
-  state->sums = MakeDoubleMethod(method_, sums.shape(), pool_);
-  state->sums->Build(sums);
-  state->counts = MakeCountMethod(method_, counts.shape(), pool_);
-  state->counts->Build(counts);
-  state->generation = generation;
-  (void)s;
-  return state;
+Result<double> ShardedOlapEngine::ReadView::SumOverCells(
+    const Box& range) const {
+  return Total<double>(range);
+}
+
+Result<int64_t> ShardedOlapEngine::ReadView::CountOverCells(
+    const Box& range) const {
+  return Total<int64_t>(range);
+}
+
+Result<std::vector<double>> ShardedOlapEngine::ReadView::SumBatch(
+    std::span<const Box> ranges) const {
+  return Batch<double>(ranges);
+}
+
+Result<std::vector<int64_t>> ShardedOlapEngine::ReadView::CountBatch(
+    std::span<const Box> ranges) const {
+  return Batch<int64_t>(ranges);
 }
 
 void ShardedOlapEngine::Publish(EngineVersion* next) {
@@ -179,20 +237,43 @@ void ShardedOlapEngine::Publish(EngineVersion* next) {
   domain_->Reclaim();
 }
 
+ShardedOlapEngine::DenseShards ShardedOlapEngine::EmptyShards() const {
+  DenseShards dense;
+  dense.sums.reserve(static_cast<size_t>(shards()));
+  dense.counts.reserve(static_cast<size_t>(shards()));
+  for (int s = 0; s < shards(); ++s) {
+    const Shape sub = ShardShape(s);
+    dense.sums.emplace_back(sub, 0.0);
+    dense.counts.emplace_back(sub, int64_t{0});
+  }
+  return dense;
+}
+
+void ShardedOlapEngine::BuildAndPublish(const DenseShards& dense) {
+  const Stopwatch watch;
+  MutexLock lock(&writer_mu_);
+  const uint64_t generation = next_generation_++;
+  auto* next = new EngineVersion();
+  next->generation = generation;
+  next->shards.reserve(dense.sums.size());
+  for (size_t s = 0; s < dense.sums.size(); ++s) {
+    auto state = std::make_shared<ShardState>();
+    state->sums = MakeDoubleMethod(method_, dense.sums[s].shape(), pool_);
+    state->sums->Build(dense.sums[s]);
+    state->counts = MakeCountMethod(method_, dense.counts[s].shape(), pool_);
+    state->counts->Build(dense.counts[s]);
+    state->generation = generation;
+    next->shards.push_back(std::move(state));
+  }
+  Publish(next);
+  publish_seconds_->ObserveNanos(watch.ElapsedNanos());
+}
+
 IngestReport ShardedOlapEngine::Load(const std::vector<OlapRecord>& records) {
   IngestReport report;
-  const int count = shards();
   // Dense per-shard accumulation first (no lock held): binning is the
   // expensive part and touches no shared state.
-  std::vector<NdArray<double>> sums;
-  std::vector<NdArray<int64_t>> counts;
-  sums.reserve(static_cast<size_t>(count));
-  counts.reserve(static_cast<size_t>(count));
-  for (int s = 0; s < count; ++s) {
-    const Shape sub = ShardShape(s);
-    sums.emplace_back(sub, 0.0);
-    counts.emplace_back(sub, int64_t{0});
-  }
+  DenseShards dense = EmptyShards();
   for (const OlapRecord& record : records) {
     const Result<CellIndex> cell = schema_.CellOf(record.values);
     if (!cell.ok()) {
@@ -202,80 +283,49 @@ IngestReport ShardedOlapEngine::Load(const std::vector<OlapRecord>& records) {
     CellIndex local = cell.value();
     const int s = ShardOf(local[0]);
     local[0] -= starts_[static_cast<size_t>(s)];
-    sums[static_cast<size_t>(s)].at(local) += record.measure;
-    counts[static_cast<size_t>(s)].at(local) += 1;
+    dense.sums[static_cast<size_t>(s)].at(local) += record.measure;
+    dense.counts[static_cast<size_t>(s)].at(local) += 1;
     ++report.accepted;
   }
-
-  const Stopwatch watch;
-  MutexLock lock(&writer_mu_);
-  const uint64_t generation = next_generation_++;
-  auto* next = new EngineVersion();
-  next->generation = generation;
-  next->shards.reserve(static_cast<size_t>(count));
-  for (int s = 0; s < count; ++s) {
-    next->shards.push_back(BuildShard(s, sums[static_cast<size_t>(s)],
-                                      counts[static_cast<size_t>(s)],
-                                      generation));
-  }
-  Publish(next);
-  publish_seconds_->ObserveNanos(watch.ElapsedNanos());
+  BuildAndPublish(dense);
   return report;
 }
 
 Status ShardedOlapEngine::LoadCells(const NdArray<double>& cell_sums,
                                     const NdArray<int64_t>& cell_counts) {
-  const Shape shape = schema_.CubeShape();
-  if (!(cell_sums.shape() == shape) || !(cell_counts.shape() == shape)) {
+  if (!(cell_sums.shape() == shape_) || !(cell_counts.shape() == shape_)) {
     return Status::InvalidArgument("LoadCells shape mismatch: want " +
-                                   shape.ToString());
+                                   shape_.ToString());
   }
-  const int count = shards();
-  // Slice the dense cube into per-shard arrays (dimension 0), then
-  // rebuild and publish exactly as Load does.
-  std::vector<NdArray<double>> sums;
-  std::vector<NdArray<int64_t>> counts;
-  sums.reserve(static_cast<size_t>(count));
-  counts.reserve(static_cast<size_t>(count));
-  for (int s = 0; s < count; ++s) {
-    const Shape sub = ShardShape(s);
-    NdArray<double> shard_sums(sub, 0.0);
-    NdArray<int64_t> shard_counts(sub, int64_t{0});
-    const Box slice = Box::All(sub);
-    CellIndex local = slice.lo();
-    do {
-      CellIndex global = local;
-      global[0] += starts_[static_cast<size_t>(s)];
-      shard_sums.at(local) = cell_sums.at(global);
-      shard_counts.at(local) = cell_counts.at(global);
-    } while (NextIndexInBox(slice, local));
-    sums.push_back(std::move(shard_sums));
-    counts.push_back(std::move(shard_counts));
+  // Dimension 0 is outermost in row-major order, so each shard's
+  // slice is one contiguous run of the dense cube.
+  DenseShards dense = EmptyShards();
+  const int64_t row_cells = shape_.num_cells() / shape_.extent(0);
+  for (size_t s = 0; s < dense.sums.size(); ++s) {
+    const int64_t offset = starts_[s] * row_cells;
+    std::copy_n(cell_sums.data() + offset, dense.sums[s].num_cells(),
+                dense.sums[s].data());
+    std::copy_n(cell_counts.data() + offset, dense.counts[s].num_cells(),
+                dense.counts[s].data());
   }
-
-  const Stopwatch watch;
-  MutexLock lock(&writer_mu_);
-  const uint64_t generation = next_generation_++;
-  auto* next = new EngineVersion();
-  next->generation = generation;
-  next->shards.reserve(static_cast<size_t>(count));
-  for (int s = 0; s < count; ++s) {
-    next->shards.push_back(BuildShard(s, sums[static_cast<size_t>(s)],
-                                      counts[static_cast<size_t>(s)],
-                                      generation));
-  }
-  Publish(next);
-  publish_seconds_->ObserveNanos(watch.ElapsedNanos());
+  BuildAndPublish(dense);
   return Status::Ok();
 }
 
 Status ShardedOlapEngine::Insert(const OlapRecord& record) {
-  return InsertBatch(std::span<const OlapRecord>(&record, 1));
+  return Apply(std::span<const OlapRecord>(&record, 1), "engine.insert");
 }
 
 Status ShardedOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
+  return Apply(records, "engine.insert_batch");
+}
+
+Status ShardedOlapEngine::Apply(std::span<const OlapRecord> records,
+                                const char* op) {
   if (records.empty()) return Status::Ok();
-  const Stopwatch watch;
+  obs::RequestScope request(obs::WideEventKind::kUpdate, op,
+                            EngineMethodName(method_));
+  obs::CollectorSpan span(op);
   // Resolve and group outside the lock; any bad record fails the
   // whole batch before anything is cloned.
   struct LocalUpdate {
@@ -285,11 +335,15 @@ Status ShardedOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
   std::vector<std::vector<LocalUpdate>> per_shard(
       static_cast<size_t>(shards()));
   for (const OlapRecord& record : records) {
-    RPS_ASSIGN_OR_RETURN(CellIndex cell, schema_.CellOf(record.values));
-    const int s = ShardOf(cell[0]);
-    cell[0] -= starts_[static_cast<size_t>(s)];
+    Result<CellIndex> cell = schema_.CellOf(record.values);
+    if (!cell.ok()) {
+      request.set_ok(false);
+      return cell.status();
+    }
+    const int s = ShardOf(cell.value()[0]);
+    cell.value()[0] -= starts_[static_cast<size_t>(s)];
     per_shard[static_cast<size_t>(s)].push_back(
-        LocalUpdate{cell, record.measure});
+        LocalUpdate{cell.value(), record.measure});
   }
 
   MutexLock lock(&writer_mu_);
@@ -299,6 +353,7 @@ Status ShardedOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
   next->generation = generation;
   next->shards = current->shards;  // structural sharing by default
   int64_t cloned_cells = 0;
+  UpdateStats touched;
   for (size_t s = 0; s < per_shard.size(); ++s) {
     if (per_shard[s].empty()) continue;
     // Copy-on-write: clone the touched shard, apply the sub-batch to
@@ -310,122 +365,91 @@ Status ShardedOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
     cloned_cells += replacement->sums->Memory().total() +
                     replacement->counts->Memory().total();
     for (const LocalUpdate& update : per_shard[s]) {
-      replacement->sums->Add(update.cell, update.measure);
-      replacement->counts->Add(update.cell, 1);
+      touched += replacement->sums->Add(update.cell, update.measure);
+      touched += replacement->counts->Add(update.cell, 1);
     }
     next->shards[s] = std::move(replacement);
   }
   cloned_cells_total_->Increment(cloned_cells);
+  update_cells_.fetch_add(touched.total(), std::memory_order_relaxed);
+  request.set_cells(touched.primary_cells, touched.aux_cells);
+  span.SetCells(touched.primary_cells, touched.aux_cells);
   Publish(next);
-  insert_seconds_->ObserveNanos(watch.ElapsedNanos());
+  insert_seconds_->ObserveNanos(request.Stop());
   return Status::Ok();
 }
 
 Result<double> ShardedOlapEngine::Sum(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  const Stopwatch watch;
-  EpochDomain::Guard guard(*domain_);
-  const EngineVersion* version = version_.load(std::memory_order_acquire);
-  const double sum = SumInVersion(*version, range);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  return sum;
+  const ReadView view(*this, "engine.sum");
+  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
+  return view.SumOverCells(range);
 }
 
 Result<std::vector<double>> ShardedOlapEngine::QueryBatch(
     std::span<const RangeQuery> queries) const {
+  const ReadView view(*this, "engine.sum_batch");
   std::vector<Box> ranges;
   ranges.reserve(queries.size());
   for (const RangeQuery& query : queries) {
-    RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
+    RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
     ranges.push_back(range);
   }
-  const Stopwatch watch;
-  EpochDomain::Guard guard(*domain_);
-  const EngineVersion* version = version_.load(std::memory_order_acquire);
-  std::vector<double> results(ranges.size());
-  if (pool_ != nullptr && ranges.size() >= kParallelBatchThreshold) {
-    // Fan out across the pool. Workers borrow the caller's pin: the
-    // caller stays pinned until ParallelFor joins, so the version
-    // cannot be reclaimed while any chunk is in flight.
-    pool_->ParallelFor(
-        0, static_cast<int64_t>(ranges.size()), 16,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            results[static_cast<size_t>(i)] =
-                SumInVersion(*version, ranges[static_cast<size_t>(i)]);
-          }
-        });
-  } else {
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      results[i] = SumInVersion(*version, ranges[i]);
-    }
-  }
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  return results;
+  return view.SumBatch(ranges);
 }
 
 Result<int64_t> ShardedOlapEngine::Count(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  const Stopwatch watch;
-  EpochDomain::Guard guard(*domain_);
-  const EngineVersion* version = version_.load(std::memory_order_acquire);
-  const int64_t count = CountInVersion(*version, range);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  return count;
+  const ReadView view(*this, "engine.count");
+  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
+  return view.CountOverCells(range);
 }
 
 Result<double> ShardedOlapEngine::Average(const RangeQuery& query) const {
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  const Stopwatch watch;
-  // One pin, one version load: SUM and COUNT come from the same
-  // snapshot, so AVERAGE can never mix generations.
-  EpochDomain::Guard guard(*domain_);
-  const EngineVersion* version = version_.load(std::memory_order_acquire);
-  const int64_t count = CountInVersion(*version, range);
+  const ReadView view(*this, "engine.average");
+  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
+  RPS_ASSIGN_OR_RETURN(const int64_t count, view.CountOverCells(range));
   if (count == 0) {
     return Status::FailedPrecondition("AVERAGE over a range with no records");
   }
-  const double average =
-      SumInVersion(*version, range) / static_cast<double>(count);
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
-  return average;
+  RPS_ASSIGN_OR_RETURN(const double sum, view.SumOverCells(range));
+  return sum / static_cast<double>(count);
 }
 
 Result<std::vector<double>> ShardedOlapEngine::RollingSum(
     const RangeQuery& query, const std::string& dimension,
     int64_t window) const {
   if (window < 1) return Status::InvalidArgument("window must be >= 1");
+  const ReadView view(*this, "engine.rolling_sum");
+  return WindowSums(view, query, dimension, window);
+}
+
+Result<std::vector<double>> ShardedOlapEngine::RollingAverage(
+    const RangeQuery& query, const std::string& dimension,
+    int64_t window) const {
+  if (window < 1) return Status::InvalidArgument("window must be >= 1");
+  const ReadView view(*this, "engine.rolling_average");
   RPS_ASSIGN_OR_RETURN(const int j, schema_.DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, query.Resolve(schema_));
-  const Stopwatch watch;
-  // All windows are answered against one pinned version, so a rolling
-  // series is internally consistent even under concurrent writes --
-  // something the locked facade also guarantees, but by stalling the
-  // writer instead.
-  EpochDomain::Guard guard(*domain_);
-  const EngineVersion* version = version_.load(std::memory_order_acquire);
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(range.Extent(j)));
-  for (int64_t p = range.lo()[j]; p <= range.hi()[j]; ++p) {
-    CellIndex lo = range.lo();
-    CellIndex hi = range.hi();
-    lo[j] = std::max(range.lo()[j], p - window + 1);
-    hi[j] = p;
-    out.push_back(SumInVersion(*version, Box(lo, hi)));
+  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
+  const std::vector<Box> windows = WindowBoxes(range, j, window);
+  RPS_ASSIGN_OR_RETURN(std::vector<double> out, view.SumBatch(windows));
+  RPS_ASSIGN_OR_RETURN(const std::vector<int64_t> counts,
+                       view.CountBatch(windows));
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = counts[i] == 0 ? 0.0 : out[i] / static_cast<double>(counts[i]);
   }
-  query_seconds_->ObserveNanos(watch.ElapsedNanos());
   return out;
 }
 
 std::string ShardedOlapEngine::HealthJson() const {
-  std::string out = "{\"strategy\":\"sharded\",\"method\":\"";
+  std::string out = "{\"method\":\"";
   out += EngineMethodName(method_);
   out += "\",\"shards\":";
   out += std::to_string(shards());
   out += ",\"generation\":";
   out += std::to_string(generation());
   out += ",\"cube_cells\":";
-  out += std::to_string(schema_.CubeShape().num_cells());
+  out += std::to_string(shape_.num_cells());
+  out += ",\"update_cells\":";
+  out += std::to_string(cumulative_update_cells());
   out += ",\"epoch\":";
   out += domain_->VarzJson();
   out += '}';

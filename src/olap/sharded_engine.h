@@ -1,14 +1,13 @@
-// Sharded, epoch-versioned OLAP engine with wait-free readers.
+// The serving engine: sharded, epoch-versioned, with wait-free readers.
 //
-// The single-lock facade (olap/concurrent_engine.h) re-couples the
-// costs the paper decouples: one writer holding the exclusive lock
-// stalls every reader for the whole update. This engine removes the
-// reader/writer coupling entirely:
+// One engine serves the paper's setting -- analysts querying a cube
+// while new records keep arriving -- without coupling readers to the
+// writer:
 //
 //   * The cube is partitioned along dimension 0 -- the highest-stride
 //     dimension under row-major linearization -- into S contiguous
 //     slices ("shards"), each backed by its own SUM and COUNT
-//     structures over the slice's sub-shape.
+//     structures over the slice's sub-shape. S = 1 is the plain case.
 //   * All shard state is immutable once published. A single atomic
 //     pointer holds the current EngineVersion: a generation counter
 //     plus one reference per shard. Readers pin an epoch
@@ -22,12 +21,16 @@
 //     the epoch domain. Readers never observe a torn batch: a query
 //     sees the shard set of exactly one version.
 //
-// Cross-shard queries intersect the resolved box with each slice and
-// merge the per-shard partial sums; large batches fan out over the
-// ThreadPool. Updates cost one clone of the touched shards per batch,
-// which is why writers batch: the clone is amortized across the
-// batch, and untouched shards are shared structurally between
-// versions.
+// Every read operator is written once against a ReadView: one pin,
+// one version, one request (wide event plus latency observation).
+// Composed operators -- rolling windows, GROUP BY, cross-tabs and the
+// window series in olap/group_by.h and olap/window.h -- are therefore
+// snapshot-consistent under concurrent writers. Multi-box operators
+// hand each shard's sub-boxes to QueryMethod::RangeSumBatch, so boxes
+// that share corners share their prefix lookups. Updates cost one
+// clone of the touched shards per batch, which is why writers batch:
+// the clone is amortized across the batch, and untouched shards are
+// shared structurally between versions.
 
 #ifndef RPS_OLAP_SHARDED_ENGINE_H_
 #define RPS_OLAP_SHARDED_ENGINE_H_
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "core/method.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "olap/engine.h"
 #include "util/annotations.h"
@@ -49,14 +53,64 @@
 namespace rps {
 
 class ShardedOlapEngine final : public OlapServingEngine {
+ private:
+  struct EngineVersion;
+
  public:
+  /// A pinned read of one published version, opened by each read
+  /// operator exactly once. It is also the operator's request: it
+  /// opens an `op` wide event (obs/event_log.h RequestScope) with an
+  /// `op` span as the root of any slow-query span tree, and on
+  /// destruction records the request latency into
+  /// rps_sharded_engine_query_seconds from the same clock reads.
+  /// Stack-only; the engine must outlive it.
+  class ReadView {
+   public:
+    /// `op` must be a string literal (the wide event stores the
+    /// pointer).
+    ReadView(const ShardedOlapEngine& engine, const char* op);
+    ReadView(const ReadView&) = delete;
+    ReadView& operator=(const ReadView&) = delete;
+    ~ReadView();
+
+    const Schema& schema() const { return engine_.schema_; }
+
+    /// Resolves `query` to a cell box and adds its volume to the
+    /// request's wide event.
+    Result<Box> Resolve(const RangeQuery& query) const;
+
+    /// SUM / COUNT over an explicit cell box; OutOfRange if the box
+    /// leaves the cube.
+    Result<double> SumOverCells(const Box& range) const;
+    Result<int64_t> CountOverCells(const Box& range) const;
+
+    /// SUMs / COUNTs of many boxes, in order. Each shard answers its
+    /// sub-boxes with one QueryMethod::RangeSumBatch call; fails
+    /// (answering nothing) if any box leaves the cube.
+    Result<std::vector<double>> SumBatch(std::span<const Box> ranges) const;
+    Result<std::vector<int64_t>> CountBatch(
+        std::span<const Box> ranges) const;
+
+   private:
+    template <typename T>
+    Result<T> Total(const Box& range) const;
+    template <typename T>
+    Result<std::vector<T>> Batch(std::span<const Box> ranges) const;
+
+    const ShardedOlapEngine& engine_;
+    mutable obs::RequestScope request_;
+    obs::CollectorSpan span_;
+    EpochDomain::Guard guard_;
+    const EngineVersion* const version_;
+  };
+
   /// An empty engine over `schema` using `method`, split into
   /// `shards` slices (clamped to [1, extent of dimension 0];
-  /// <= 0 means the thread-pool default). The method must be
+  /// < 1 means the thread-pool default). The method must be
   /// clonable (every built-in EngineMethod is); this is checked once
   /// here. `domain` defaults to the process-wide epoch domain; tests
   /// may pass an isolated one.
-  ShardedOlapEngine(Schema schema, EngineMethod method, int shards,
+  ShardedOlapEngine(Schema schema, EngineMethod method, int shards = 1,
                     ThreadPool* pool = &ThreadPool::Global(),
                     EpochDomain* domain = &EpochDomain::Global());
 
@@ -64,7 +118,6 @@ class ShardedOlapEngine final : public OlapServingEngine {
   /// reader is still inside a query (as with any engine teardown).
   ~ShardedOlapEngine() override;
 
-  const char* strategy() const override { return "sharded"; }
   const Schema& schema() const override { return schema_; }
   EngineMethod method() const { return method_; }
   int shards() const { return static_cast<int>(starts_.size()) - 1; }
@@ -73,6 +126,12 @@ class ShardedOlapEngine final : public OlapServingEngine {
   /// at 1 for the empty engine and advances once per publication).
   uint64_t generation() const;
 
+  /// Cells the inserts have touched across the SUM and COUNT
+  /// structures (the paper's update cost unit), since construction.
+  int64_t cumulative_update_cells() const {
+    return update_cells_.load(std::memory_order_relaxed);
+  }
+
   IngestReport Load(const std::vector<OlapRecord>& records) override;
   Status LoadCells(const NdArray<double>& sums,
                    const NdArray<int64_t>& counts) override;
@@ -80,13 +139,25 @@ class ShardedOlapEngine final : public OlapServingEngine {
   Status InsertBatch(std::span<const OlapRecord> records) override;
 
   Result<double> Sum(const RangeQuery& query) const override;
+  /// SUMs for a batch of queries from one version. Fails (answering
+  /// nothing) if any query does not resolve.
   Result<std::vector<double>> QueryBatch(
       std::span<const RangeQuery> queries) const override;
   Result<int64_t> Count(const RangeQuery& query) const override;
+  /// AVERAGE = SUM / COUNT; FailedPrecondition when the range holds
+  /// no records.
   Result<double> Average(const RangeQuery& query) const override;
+  /// Rolling sums along `dimension`: for every slot p of that
+  /// dimension in the query range, the SUM over the range restricted
+  /// to slots [p - window + 1, p] (clamped to the range). This is the
+  /// paper's ROLLING SUM operator.
   Result<std::vector<double>> RollingSum(const RangeQuery& query,
                                          const std::string& dimension,
                                          int64_t window) const override;
+  /// Rolling AVERAGE over the same windows (0 where no records).
+  Result<std::vector<double>> RollingAverage(const RangeQuery& query,
+                                             const std::string& dimension,
+                                             int64_t window) const;
 
   std::string HealthJson() const override;
 
@@ -112,24 +183,33 @@ class ShardedOlapEngine final : public OlapServingEngine {
     std::vector<std::shared_ptr<const ShardState>> shards;
   };
 
+  /// Dense per-shard contents awaiting a build (Load, LoadCells).
+  struct DenseShards {
+    std::vector<NdArray<double>> sums;
+    std::vector<NdArray<int64_t>> counts;
+  };
+
   /// Shard index owning cube row `row0` (dimension-0 coordinate).
   int ShardOf(int64_t row0) const;
   /// Sub-shape of shard `s` (dimension 0 trimmed to the slice).
   Shape ShardShape(int s) const;
-  /// Sum of `range` across the shards of `version`. `range` must lie
-  /// within the cube.
-  double SumInVersion(const EngineVersion& version, const Box& range) const;
-  int64_t CountInVersion(const EngineVersion& version,
-                         const Box& range) const;
-  /// Builds fresh shard states from dense per-shard arrays.
-  std::shared_ptr<const ShardState> BuildShard(
-      int s, const NdArray<double>& sums, const NdArray<int64_t>& counts,
-      uint64_t generation) const;
+  /// `range` clipped to shard `s`'s rows, in the shard's coordinates.
+  Box LocalBox(const Box& range, int s) const;
+  /// All-zero dense arrays, one pair per shard.
+  DenseShards EmptyShards() const;
+  /// Builds every shard from `dense` and publishes them as one
+  /// version: the shared tail of Load and LoadCells.
+  void BuildAndPublish(const DenseShards& dense);
+  /// Resolves, clones, applies and publishes `records` as one
+  /// version (Insert and InsertBatch; `op` names the wide event).
+  Status Apply(std::span<const OlapRecord> records, const char* op);
   /// Swaps in `next` and retires the previous version. Requires
   /// writer_mu_.
   void Publish(EngineVersion* next) REQUIRES(writer_mu_);
 
   const Schema schema_;
+  /// schema_.CubeShape(), computed once: building it allocates.
+  const Shape shape_;
   const EngineMethod method_;
   ThreadPool* const pool_;
   EpochDomain* const domain_;
@@ -145,9 +225,10 @@ class ShardedOlapEngine final : public OlapServingEngine {
   /// Monotonic publication counter (matches the published version's
   /// generation while writer_mu_ is held).
   uint64_t next_generation_ GUARDED_BY(writer_mu_) = 1;
+  /// Written by writers only; relaxed so health reads never lock.
+  std::atomic<int64_t> update_cells_{0};
 
-  // Registry-owned observability (labels: method=..., plus
-  // shards=... on the gauges).
+  // Registry-owned observability (labels: method=..., shards=...).
   obs::Histogram* query_seconds_;
   obs::Histogram* insert_seconds_;
   obs::Histogram* publish_seconds_;

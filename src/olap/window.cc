@@ -1,36 +1,48 @@
 #include "olap/window.h"
 
-#include "olap/engine.h"
+#include <algorithm>
+#include <limits>
 
 namespace rps {
 
-Result<std::vector<double>> SlotSeries(const OlapEngine& engine,
-                                       const RangeQuery& query,
-                                       const std::string& dimension) {
-  RPS_ASSIGN_OR_RETURN(const int j,
-                       engine.schema().DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, engine.ResolveQuery(query));
-  std::vector<double> series;
-  series.reserve(static_cast<size_t>(range.Extent(j)));
-  for (int64_t p = range.lo()[j]; p <= range.hi()[j]; ++p) {
+std::vector<Box> WindowBoxes(const Box& range, int dimension,
+                             int64_t window) {
+  std::vector<Box> boxes;
+  boxes.reserve(static_cast<size_t>(range.Extent(dimension)));
+  for (int64_t p = range.lo()[dimension]; p <= range.hi()[dimension]; ++p) {
     CellIndex lo = range.lo();
     CellIndex hi = range.hi();
-    lo[j] = p;
-    hi[j] = p;
-    RPS_ASSIGN_OR_RETURN(const double sum,
-                         engine.SumOverCells(Box(lo, hi)));
-    series.push_back(sum);
+    lo[dimension] = std::max(range.lo()[dimension], p - window + 1);
+    hi[dimension] = p;
+    boxes.emplace_back(lo, hi);
   }
-  return series;
+  return boxes;
 }
 
-Result<std::vector<double>> PeriodDelta(const OlapEngine& engine,
+Result<std::vector<double>> WindowSums(const ShardedOlapEngine::ReadView& view,
+                                       const RangeQuery& query,
+                                       const std::string& dimension,
+                                       int64_t window) {
+  RPS_ASSIGN_OR_RETURN(const int j, view.schema().DimensionIndex(dimension));
+  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
+  return view.SumBatch(WindowBoxes(range, j, window));
+}
+
+Result<std::vector<double>> SlotSeries(const ShardedOlapEngine& engine,
+                                       const RangeQuery& query,
+                                       const std::string& dimension) {
+  const ShardedOlapEngine::ReadView view(engine, "engine.slot_series");
+  return WindowSums(view, query, dimension, 1);
+}
+
+Result<std::vector<double>> PeriodDelta(const ShardedOlapEngine& engine,
                                         const RangeQuery& query,
                                         const std::string& dimension,
                                         int64_t lag) {
   if (lag < 1) return Status::InvalidArgument("lag must be >= 1");
+  const ShardedOlapEngine::ReadView view(engine, "engine.period_delta");
   RPS_ASSIGN_OR_RETURN(const std::vector<double> series,
-                       SlotSeries(engine, query, dimension));
+                       WindowSums(view, query, dimension, 1));
   std::vector<double> deltas(series.size());
   for (size_t i = 0; i < series.size(); ++i) {
     deltas[i] = (static_cast<int64_t>(i) >= lag)
@@ -40,22 +52,12 @@ Result<std::vector<double>> PeriodDelta(const OlapEngine& engine,
   return deltas;
 }
 
-Result<std::vector<double>> CumulativeSeries(const OlapEngine& engine,
+Result<std::vector<double>> CumulativeSeries(const ShardedOlapEngine& engine,
                                              const RangeQuery& query,
                                              const std::string& dimension) {
-  RPS_ASSIGN_OR_RETURN(const int j,
-                       engine.schema().DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, engine.ResolveQuery(query));
-  std::vector<double> series;
-  series.reserve(static_cast<size_t>(range.Extent(j)));
-  for (int64_t p = range.lo()[j]; p <= range.hi()[j]; ++p) {
-    CellIndex hi = range.hi();
-    hi[j] = p;
-    RPS_ASSIGN_OR_RETURN(const double sum,
-                         engine.SumOverCells(Box(range.lo(), hi)));
-    series.push_back(sum);
-  }
-  return series;
+  const ShardedOlapEngine::ReadView view(engine, "engine.cumulative_series");
+  return WindowSums(view, query, dimension,
+                    std::numeric_limits<int64_t>::max());
 }
 
 }  // namespace rps

@@ -1,21 +1,13 @@
 #include "workload/driver.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
-#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "olap/durable_engine.h"
-#include "olap/schema.h"
 #include "util/annotations.h"
 #include "util/mutex.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 
 namespace rps {
@@ -150,273 +142,6 @@ WorkloadReport RunParallelQueryWorkload(const QueryMethod<int64_t>& method,
     MutexLock lock(&shared.mu);
     report.query_checksum = shared.checksum;
   }
-  return report;
-}
-
-namespace {
-
-/// Per-reader results for one phase; threads write only their own
-/// entry, so the vector needs no lock.
-struct ReaderTally {
-  int64_t queries = 0;
-  int64_t checksum = 0;
-  std::vector<int64_t> latencies_nanos;
-};
-
-/// Runs `readers` query threads flat out against `engine` until
-/// `stop_after` elapses; `writer` (optional) runs alongside them.
-void RunReaderPhase(const OlapServingEngine& engine,
-                    const ShardScalingSpec& spec, uint64_t phase_seed,
-                    const std::function<void(std::atomic<bool>&)>& writer,
-                    std::vector<ReaderTally>& tallies, double& elapsed) {
-  std::atomic<bool> stop{false};
-  tallies.assign(static_cast<size_t>(spec.readers), ReaderTally{});
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(spec.readers) + 1);
-  const Stopwatch phase_watch;
-  for (int r = 0; r < spec.readers; ++r) {
-    threads.emplace_back([&, r] {
-      ReaderTally& tally = tallies[static_cast<size_t>(r)];
-      tally.latencies_nanos.reserve(1 << 16);
-      Rng rng(phase_seed + 1000003 * static_cast<uint64_t>(r));
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int64_t x0 = rng.UniformInt(0, spec.side - 1);
-        const int64_t x1 = rng.UniformInt(0, spec.side - 1);
-        const int64_t y0 = rng.UniformInt(0, spec.side - 1);
-        const int64_t y1 = rng.UniformInt(0, spec.side - 1);
-        RangeQuery query;
-        query.WhereIntBetween("d0", std::min(x0, x1), std::max(x0, x1))
-            .WhereIntBetween("d1", std::min(y0, y1), std::max(y0, y1));
-        const Stopwatch watch;
-        const Result<double> sum = engine.Sum(query);
-        const int64_t nanos = watch.ElapsedNanos();
-        RPS_CHECK(sum.ok());
-        tally.checksum += static_cast<int64_t>(sum.value());
-        tally.latencies_nanos.push_back(nanos);
-        ++tally.queries;
-      }
-    });
-  }
-  if (writer != nullptr) {
-    threads.emplace_back([&] { writer(stop); });
-  }
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(spec.phase_seconds));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& thread : threads) thread.join();
-  elapsed = phase_watch.ElapsedSeconds();
-}
-
-/// p-th percentile (0 < p < 1) of the merged latency samples, in
-/// microseconds.
-double PercentileMicros(std::vector<ReaderTally>& tallies, double p) {
-  std::vector<int64_t> merged;
-  size_t total = 0;
-  for (const ReaderTally& tally : tallies) {
-    total += tally.latencies_nanos.size();
-  }
-  if (total == 0) return 0;
-  merged.reserve(total);
-  for (const ReaderTally& tally : tallies) {
-    merged.insert(merged.end(), tally.latencies_nanos.begin(),
-                  tally.latencies_nanos.end());
-  }
-  const size_t rank = std::min(
-      merged.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(merged.size())));
-  std::nth_element(merged.begin(),
-                   merged.begin() + static_cast<int64_t>(rank), merged.end());
-  return static_cast<double>(merged[rank]) * 1e-3;
-}
-
-}  // namespace
-
-ShardScalingReport RunShardScalingWorkload(const ShardScalingSpec& spec) {
-  RPS_CHECK(spec.readers >= 1 && spec.side >= 2);
-  Schema schema("MEASURE", {Dimension::Integer("d0", 0, spec.side),
-                            Dimension::Integer("d1", 0, spec.side)});
-  std::unique_ptr<OlapServingEngine> engine =
-      MakeServingEngine(std::move(schema), spec.method, spec.shards,
-                        spec.pool);
-
-  ShardScalingReport report;
-  report.engine = engine->strategy();
-  report.shards = spec.shards;
-  report.readers = spec.readers;
-
-  // Preload so queries sum real data.
-  {
-    Rng rng(spec.seed);
-    std::vector<OlapRecord> records;
-    records.reserve(static_cast<size_t>(spec.preload_records));
-    for (int64_t i = 0; i < spec.preload_records; ++i) {
-      records.push_back(
-          OlapRecord{{rng.UniformInt(0, spec.side - 1),
-                      rng.UniformInt(0, spec.side - 1)},
-                     static_cast<double>(rng.UniformInt(1, 8))});
-    }
-    const IngestReport ingest = engine->Load(records);
-    RPS_CHECK(ingest.rejected == 0);
-  }
-
-  // Phase 1: read-only baseline (same thread count minus the writer).
-  std::vector<ReaderTally> tallies;
-  RunReaderPhase(*engine, spec, spec.seed ^ 0x9e3779b97f4a7c15ull, nullptr,
-                 tallies, report.readonly_seconds);
-  for (const ReaderTally& tally : tallies) {
-    report.readonly_queries += tally.queries;
-    report.query_checksum += tally.checksum;
-  }
-  report.readonly_p50_micros = PercentileMicros(tallies, 0.50);
-  report.readonly_p99_micros = PercentileMicros(tallies, 0.99);
-
-  // Phase 2: same readers with the rate-limited hotspot writer. The
-  // writer inserts into the top `writer_hot_rows` rows of dimension 0
-  // (the current time partition) in batches, at a fixed target
-  // cadence; it sleeps between batches and never tries to catch up
-  // a backlog, modeling a bounded ingest stream.
-  struct WriterStats {
-    int64_t batches = 0;
-    int64_t records = 0;
-    double busy_seconds = 0;
-  } writer_stats;
-  auto writer = [&](std::atomic<bool>& stop) {
-    Rng rng(spec.seed + 0x5851f42d4c957f2dull);
-    const auto period = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(std::chrono::duration<double>(
-        1.0 / std::max(1e-6, spec.writer_batches_per_second)));
-    const int64_t hot_lo = std::max<int64_t>(0, spec.side -
-                                                    spec.writer_hot_rows);
-    auto next = std::chrono::steady_clock::now();
-    std::vector<OlapRecord> batch;
-    while (!stop.load(std::memory_order_relaxed)) {
-      batch.clear();
-      for (int64_t i = 0; i < spec.writer_batch; ++i) {
-        batch.push_back(
-            OlapRecord{{rng.UniformInt(hot_lo, spec.side - 1),
-                        rng.UniformInt(0, spec.side - 1)},
-                       static_cast<double>(rng.UniformInt(1, 8))});
-      }
-      const Stopwatch busy;
-      const Status status = engine->InsertBatch(batch);
-      writer_stats.busy_seconds += busy.ElapsedSeconds();
-      RPS_CHECK(status.ok());
-      ++writer_stats.batches;
-      writer_stats.records += spec.writer_batch;
-      next += period;
-      const auto now = std::chrono::steady_clock::now();
-      if (next <= now) {
-        next = now;  // behind schedule: drop the backlog, do not spin
-        continue;
-      }
-      // Sleep in short slices so the stop flag is honored promptly.
-      while (!stop.load(std::memory_order_relaxed)) {
-        const auto remaining = next - std::chrono::steady_clock::now();
-        if (remaining <= std::chrono::steady_clock::duration::zero()) break;
-        std::this_thread::sleep_for(
-            std::min(remaining, std::chrono::steady_clock::duration(
-                                    std::chrono::milliseconds(5))));
-      }
-    }
-  };
-  RunReaderPhase(*engine, spec, spec.seed ^ 0xc2b2ae3d27d4eb4full, writer,
-                 tallies, report.mixed_seconds);
-  for (const ReaderTally& tally : tallies) {
-    report.mixed_queries += tally.queries;
-    report.query_checksum += tally.checksum;
-  }
-  report.mixed_p50_micros = PercentileMicros(tallies, 0.50);
-  report.mixed_p99_micros = PercentileMicros(tallies, 0.99);
-  report.writer_batches = writer_stats.batches;
-  report.writer_records = writer_stats.records;
-  report.writer_busy_seconds = writer_stats.busy_seconds;
-  return report;
-}
-
-Result<DurableScalingReport> RunDurableScalingWorkload(
-    const DurableScalingSpec& spec) {
-  if (spec.writers < 1 || spec.side < 2 || spec.batch < 1) {
-    return Status::InvalidArgument(
-        "durable scaling needs writers >= 1, side >= 2, batch >= 1");
-  }
-  if (spec.directory.empty()) {
-    return Status::InvalidArgument("durable scaling needs a directory");
-  }
-  Schema schema("MEASURE", {Dimension::Integer("d0", 0, spec.side),
-                            Dimension::Integer("d1", 0, spec.side)});
-  DurableOptions options;
-  options.group_commit = spec.group_commit;
-  options.group.barrier = spec.barrier;
-  RPS_ASSIGN_OR_RETURN(
-      std::unique_ptr<DurableOlapEngine> engine,
-      DurableOlapEngine::Create(std::move(schema), spec.method, spec.shards,
-                                spec.directory, options, spec.pool));
-
-  struct WriterTally {
-    int64_t records = 0;
-    std::vector<int64_t> latencies_nanos;
-    Status error;
-  };
-  std::vector<WriterTally> tallies(static_cast<size_t>(spec.writers));
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(spec.writers));
-  const Stopwatch run_watch;
-  for (int w = 0; w < spec.writers; ++w) {
-    WriterTally* tally = &tallies[static_cast<size_t>(w)];
-    threads.emplace_back([&, w, tally] {
-      Rng rng(spec.seed + static_cast<uint64_t>(w) * 0x9e3779b97f4a7c15ull);
-      std::vector<OlapRecord> batch;
-      while (!stop.load(std::memory_order_relaxed)) {
-        batch.clear();
-        for (int64_t i = 0; i < spec.batch; ++i) {
-          batch.push_back(
-              OlapRecord{{rng.UniformInt(0, spec.side - 1),
-                          rng.UniformInt(0, spec.side - 1)},
-                         static_cast<double>(rng.UniformInt(1, 8))});
-        }
-        const Stopwatch commit;
-        const Status status =
-            spec.batch == 1 ? engine->Insert(batch.front())
-                            : engine->InsertBatch(batch);
-        const int64_t nanos = commit.ElapsedNanos();
-        if (!status.ok()) {
-          tally->error = status;
-          return;
-        }
-        tally->records += spec.batch;
-        tally->latencies_nanos.push_back(nanos);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double>(spec.run_seconds));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& thread : threads) thread.join();
-  const double elapsed = run_watch.ElapsedSeconds();
-
-  DurableScalingReport report;
-  report.mode = spec.group_commit ? "group_commit" : "per_record";
-  report.writers = spec.writers;
-  report.seconds = elapsed;
-  std::vector<int64_t> merged;
-  for (WriterTally& tally : tallies) {
-    RPS_RETURN_IF_ERROR(tally.error);
-    report.records += tally.records;
-    merged.insert(merged.end(), tally.latencies_nanos.begin(),
-                  tally.latencies_nanos.end());
-  }
-  const auto percentile = [&merged](double p) {
-    if (merged.empty()) return 0.0;
-    const size_t rank = std::min(
-        merged.size() - 1,
-        static_cast<size_t>(p * static_cast<double>(merged.size())));
-    std::nth_element(merged.begin(),
-                     merged.begin() + static_cast<int64_t>(rank),
-                     merged.end());
-    return static_cast<double>(merged[rank]) * 1e-3;
-  };
-  report.p50_commit_micros = percentile(0.50);
-  report.p99_commit_micros = percentile(0.99);
   return report;
 }
 

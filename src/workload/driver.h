@@ -12,8 +12,6 @@
 
 #include "core/method.h"
 #include "cube/box.h"
-#include "olap/engine.h"
-#include "storage/wal.h"
 #include "util/thread_pool.h"
 #include "workload/query_gen.h"
 
@@ -76,123 +74,6 @@ WorkloadReport RunWorkload(QueryMethod<int64_t>& method,
 WorkloadReport RunParallelQueryWorkload(const QueryMethod<int64_t>& method,
                                         const std::vector<Box>& ranges,
                                         ThreadPool* pool);
-
-/// Mixed reader/writer scaling workload over the serving engines
-/// (BENCH_shard_scaling.json). A 2D side x side cube is served by the
-/// engine MakeServingEngine(shards) selects; `readers` threads issue
-/// uniform random range SUMs flat out while (in the mixed phase) one
-/// writer applies hotspot batches at a fixed target cadence -- the
-/// time-partitioned-ingest pattern: new records land in the last few
-/// rows of dimension 0. Two phases run, each `phase_seconds` long:
-/// read-only (the stall-free latency baseline) and mixed.
-struct ShardScalingSpec {
-  /// 0 = the single-lock facade; >= 1 = the sharded engine with that
-  /// many shards.
-  int shards = 1;
-  int readers = 7;
-  /// Cube side: the cube is side x side cells (n = 1024 in the
-  /// headline experiment).
-  int64_t side = 1024;
-  double phase_seconds = 2.0;
-  /// Records per published batch and target publications per second.
-  /// The writer sleeps between batches; it models a bounded ingest
-  /// stream, not a saturating one.
-  int64_t writer_batch = 256;
-  double writer_batches_per_second = 40;
-  /// Rows (dimension-0 slots) at the top of the cube the writer's
-  /// hotspot covers -- the "current" time partition.
-  int64_t writer_hot_rows = 8;
-  int64_t preload_records = 16384;
-  uint64_t seed = 1;
-  EngineMethod method = EngineMethod::kRelativePrefixSum;
-  /// Pool for structure builds/clones (null = serial).
-  ThreadPool* pool = nullptr;
-};
-
-struct ShardScalingReport {
-  std::string engine;  // strategy: "locked" or "sharded"
-  int shards = 0;
-  int readers = 0;
-  // Phase 1: readers only.
-  int64_t readonly_queries = 0;
-  double readonly_seconds = 0;
-  double readonly_p50_micros = 0;
-  double readonly_p99_micros = 0;
-  // Phase 2: readers plus the rate-limited writer.
-  int64_t mixed_queries = 0;
-  double mixed_seconds = 0;
-  double mixed_p50_micros = 0;
-  double mixed_p99_micros = 0;
-  int64_t writer_batches = 0;
-  int64_t writer_records = 0;
-  /// Wall time the writer spent inside InsertBatch (its CPU /
-  /// lock-hold footprint, as opposed to its pacing sleeps).
-  double writer_busy_seconds = 0;
-  /// Order-independent checksum over every query answer (guards
-  /// against elided work and cross-engine divergence).
-  int64_t query_checksum = 0;
-
-  double readonly_qps() const {
-    return readonly_seconds == 0
-               ? 0
-               : static_cast<double>(readonly_queries) / readonly_seconds;
-  }
-  double mixed_qps() const {
-    return mixed_seconds == 0
-               ? 0
-               : static_cast<double>(mixed_queries) / mixed_seconds;
-  }
-};
-
-ShardScalingReport RunShardScalingWorkload(const ShardScalingSpec& spec);
-
-/// Durable-ingest scaling workload (BENCH_durable_scaling.json):
-/// `writers` threads insert single records into a DurableOlapEngine
-/// flat out for `run_seconds`, every record logged durably before the
-/// insert returns. The same spec runs in per-record mode (one
-/// barrier per record, writers serialized on the log) and
-/// group-commit mode (one barrier per batch of concurrent writers);
-/// the throughput ratio between the two is the group-commit win.
-/// Barrier strength is identical in both modes, so the comparison
-/// isolates amortization, not durability level.
-struct DurableScalingSpec {
-  int writers = 8;
-  /// Cube side (side x side 2D cube).
-  int64_t side = 256;
-  double run_seconds = 2.0;
-  /// Records per Insert/InsertBatch call from each writer (1 = point
-  /// inserts, the per-record latency-sensitive shape).
-  int64_t batch = 1;
-  bool group_commit = true;
-  WalBarrier barrier = WalBarrier::kSync;
-  /// Inner serving engine routing (MakeServingEngine): 0 = locked
-  /// facade, >= 1 = sharded.
-  int shards = 0;
-  uint64_t seed = 1;
-  EngineMethod method = EngineMethod::kRelativePrefixSum;
-  /// Scratch directory for the engine's generation files (must exist;
-  /// a fresh engine is created in it).
-  std::string directory;
-  ThreadPool* pool = nullptr;
-};
-
-struct DurableScalingReport {
-  std::string mode;  // "group_commit" or "per_record"
-  int writers = 0;
-  double seconds = 0;
-  int64_t records = 0;  // durably committed records
-  /// Commit latency of one Insert/InsertBatch call (enqueue -> group
-  /// barrier -> memory apply), merged across writers.
-  double p50_commit_micros = 0;
-  double p99_commit_micros = 0;
-
-  double records_per_second() const {
-    return seconds == 0 ? 0 : static_cast<double>(records) / seconds;
-  }
-};
-
-Result<DurableScalingReport> RunDurableScalingWorkload(
-    const DurableScalingSpec& spec);
 
 }  // namespace rps
 

@@ -15,8 +15,7 @@
 #include "core/naive_method.h"
 #include "core/prefix_sum_method.h"
 #include "core/relative_prefix_sum.h"
-#include "olap/concurrent_engine.h"
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "util/random.h"
 #include "workload/data_gen.h"
 #include "workload/query_gen.h"
@@ -128,7 +127,7 @@ TEST(BatchQueryTest, BatchCountsLookupsLikeTheLoop) {
 TEST(BatchQueryTest, EngineQueryBatch) {
   Schema schema("SALES", {Dimension::Integer("x", 0, 16),
                           Dimension::Integer("y", 0, 16)});
-  OlapEngine engine(schema, EngineMethod::kRelativePrefixSum);
+  ShardedOlapEngine engine(schema, EngineMethod::kRelativePrefixSum);
 
   std::vector<OlapRecord> records;
   Rng rng(41);
@@ -166,9 +165,11 @@ TEST(BatchQueryTest, EngineQueryBatch) {
   EXPECT_FALSE(engine.QueryBatch(queries).ok());
 }
 
+// The concurrent serving configuration: three shards, so every batch
+// splits into per-shard sub-batches and merges them.
 TEST(BatchQueryTest, ConcurrentEngineQueryBatch) {
   Schema schema("V", {Dimension::Integer("x", 0, 8)});
-  ConcurrentOlapEngine engine(schema, EngineMethod::kRelativePrefixSum);
+  ShardedOlapEngine engine(schema, EngineMethod::kRelativePrefixSum, 3);
 
   std::vector<OlapRecord> records;
   for (int i = 0; i < 8; ++i) {

@@ -14,8 +14,12 @@
 namespace rps {
 namespace {
 
+// Every field is 8 bytes wide, so the struct has no padding: gtest
+// prints the parameter as raw bytes, the discovered ctest names
+// carry that dump, and uninitialised padding gave the tests a
+// different name on every build.
 struct SweepParam {
-  int dims;
+  int64_t dims;
   int64_t extent;
   int64_t box_side;
 };

@@ -226,8 +226,12 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, MethodConformanceTest,
 // in-memory RelativePrefixSum under interleaved updates, queries,
 // checkpoints/persists and reopens.
 
+// Every field is 8 bytes wide, so the struct has no padding: gtest
+// prints the parameter as raw bytes, the discovered ctest names
+// carry that dump, and uninitialised padding gave the tests a
+// different name on every build.
 struct StorageConformanceParam {
-  int dims;
+  int64_t dims;
   int64_t extent;
 };
 

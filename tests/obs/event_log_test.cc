@@ -192,7 +192,7 @@ TEST(RequestScopeTest, CapturesSlowRequestWithSpanTree) {
     RequestScope request(WideEventKind::kQuery, "test.op", "rps");
     request.set_box_volume(123);
     EXPECT_NE(request.trace_id(), 0u);
-    TraceSpan outer("test.outer");
+    CollectorSpan outer("test.outer");
     { CollectorSpan inner("test.inner"); }
   }
   log.set_threshold_nanos(0);

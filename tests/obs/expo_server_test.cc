@@ -14,7 +14,7 @@
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "olap/concurrent_engine.h"
+#include "olap/sharded_engine.h"
 #include "olap/query.h"
 #include "olap/schema.h"
 
@@ -115,10 +115,9 @@ TEST(ExpoServerHttpTest, StartFailsOnPortInUse) {
 // slow-query log armed so /debug/slow carries span trees. Everything
 // must come back 200 and well-formed.
 TEST(ExpoServerConcurrencyTest, ParallelScrapesDuringQueryLoad) {
-  // The thread-safe facade: scrape callbacks read engine state while
-  // the workload thread mutates it, exactly as `rps_tool serve` does.
-  ConcurrentOlapEngine engine(MakeSchema(),
-                              EngineMethod::kRelativePrefixSum);
+  // The serving engine: scrape callbacks read engine state while the
+  // workload thread mutates it, exactly as `rps_tool serve` does.
+  ShardedOlapEngine engine(MakeSchema(), EngineMethod::kRelativePrefixSum, 2);
   ExpoServer server;
   server.AddHealthSource("engine", [&engine] { return engine.HealthJson(); });
   ASSERT_TRUE(server.Start().ok());
@@ -186,11 +185,11 @@ TEST(ExpoServerConcurrencyTest, ParallelScrapesDuringQueryLoad) {
   EXPECT_NE(slow.value().find("\"op\":\"engine."), std::string::npos);
   EXPECT_NE(slow.value().find("\"spans\":["), std::string::npos);
 
-  // A live /metrics.json scrape reflects the engine counters moving.
+  // A live /metrics.json scrape carries the engine's families.
   const Result<std::string> metrics =
       HttpGet("127.0.0.1", port, "/metrics.json");
   ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics.value().find("rps_engine_queries_total"),
+  EXPECT_NE(metrics.value().find("rps_sharded_engine_query_seconds"),
             std::string::npos);
 
   server.Stop();

@@ -1,89 +1,11 @@
-// TraceBuffer ring semantics and TraceSpan recording.
+// The process trace clock shared by wide events and span trees.
 
 #include "obs/trace.h"
-
-#include <string>
 
 #include <gtest/gtest.h>
 
 namespace rps::obs {
 namespace {
-
-TraceEvent Event(const char* op, int64_t start) {
-  TraceEvent event;
-  event.op = op;
-  event.start_nanos = start;
-  event.duration_nanos = 10;
-  return event;
-}
-
-TEST(TraceBufferTest, KeepsEventsInOrderBeforeWrap) {
-  TraceBuffer buffer(4);
-  buffer.Record(Event("a", 1));
-  buffer.Record(Event("b", 2));
-
-  const auto events = buffer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].op, "a");
-  EXPECT_STREQ(events[1].op, "b");
-  EXPECT_EQ(buffer.total_recorded(), 2);
-  EXPECT_EQ(buffer.capacity(), 4);
-}
-
-TEST(TraceBufferTest, OverwritesOldestAfterWrap) {
-  TraceBuffer buffer(3);
-  for (int64_t i = 0; i < 5; ++i) buffer.Record(Event("op", i));
-
-  const auto events = buffer.Snapshot();
-  ASSERT_EQ(events.size(), 3u);  // bounded at capacity
-  EXPECT_EQ(events[0].start_nanos, 2);  // oldest retained
-  EXPECT_EQ(events[1].start_nanos, 3);
-  EXPECT_EQ(events[2].start_nanos, 4);
-  EXPECT_EQ(buffer.total_recorded(), 5);
-}
-
-TEST(TraceBufferTest, ClearEmptiesRetainedEvents) {
-  TraceBuffer buffer(3);
-  buffer.Record(Event("a", 1));
-  buffer.Clear();
-  EXPECT_TRUE(buffer.Snapshot().empty());
-}
-
-TEST(TraceSpanTest, RecordsTimingAndCells) {
-  TraceBuffer buffer(8);
-  {
-    TraceSpan span("test.op", &buffer);
-    span.SetCells(5, 2);
-  }
-  const auto events = buffer.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].op, "test.op");
-  EXPECT_GE(events[0].duration_nanos, 0);
-  EXPECT_EQ(events[0].primary_cells, 5);
-  EXPECT_EQ(events[0].aux_cells, 2);
-}
-
-TEST(TraceBufferTest, RenderJsonIsWellFormed) {
-  TraceBuffer buffer(4);
-  {
-    TraceSpan span("engine.sum", &buffer);
-    span.SetCells(4, 1);
-  }
-  const std::string json = buffer.RenderJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"op\":\"engine.sum\""), std::string::npos);
-  EXPECT_NE(json.find("\"primary_cells\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"aux_cells\":1"), std::string::npos);
-
-  EXPECT_EQ(TraceBuffer(2).RenderJson(), "[]");
-}
-
-TEST(TraceBufferTest, GlobalBufferAccumulatesSpans) {
-  const int64_t before = TraceBuffer::Global().total_recorded();
-  { TraceSpan span("test.global"); }
-  EXPECT_EQ(TraceBuffer::Global().total_recorded(), before + 1);
-}
 
 TEST(TraceNowNanosTest, IsMonotonic) {
   const int64_t a = TraceNowNanos();

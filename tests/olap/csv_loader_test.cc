@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "olap/sharded_engine.h"
+
 namespace rps {
 namespace {
 
@@ -89,7 +91,7 @@ TEST(CsvLoaderTest, EndToEndWithEngine) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().records.size(), 4u);
 
-  OlapEngine engine(TestSchema(), EngineMethod::kRelativePrefixSum);
+  ShardedOlapEngine engine(TestSchema(), EngineMethod::kRelativePrefixSum);
   const IngestReport loaded = engine.Load(report.value().records);
   EXPECT_EQ(loaded.accepted, 3);
   EXPECT_EQ(loaded.rejected, 1);

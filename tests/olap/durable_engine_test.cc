@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "olap/group_by.h"
+#include "olap/window.h"
 #include "testing/temp_dir.h"
 #include "util/random.h"
 
@@ -97,6 +99,17 @@ TEST_P(DurableEngineTest, InsertsSurviveReopenWithoutCheckpoint) {
   const Result<int64_t> count = reopened.value()->Count(WholeCube());
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value(), 50);
+  // The composed operators run on the recovered engine through inner().
+  const ShardedOlapEngine& inner = reopened.value()->inner();
+  const Result<std::vector<GroupRow>> rows = GroupBy(inner, WholeCube(), "d0");
+  ASSERT_TRUE(rows.ok());
+  int64_t rows_count = 0;
+  for (const GroupRow& row : rows.value()) rows_count += row.count;
+  EXPECT_EQ(rows_count, 50);
+  const Result<std::vector<double>> cumulative =
+      CumulativeSeries(inner, WholeCube(), "d1");
+  ASSERT_TRUE(cumulative.ok());
+  EXPECT_DOUBLE_EQ(cumulative.value().back(), expected_sum);
 }
 
 TEST_P(DurableEngineTest, CheckpointAdvancesGenerationAndEmptiesReplay) {

@@ -1,15 +1,16 @@
-// End-to-end integration tests of the OLAP engine across every
-// backing method: load records, query SUM/COUNT/AVERAGE, insert
-// streaming records (the paper's "near-current" requirement), and
-// rolling windows.
+// End-to-end integration tests of the serving engine (one shard, the
+// plain case) across every backing method: load records, query
+// SUM/COUNT/AVERAGE, insert streaming records (the paper's
+// "near-current" requirement), and rolling windows.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 #include "util/random.h"
 
 namespace rps {
@@ -27,7 +28,7 @@ OlapRecord Sale(int64_t age, int64_t day, double amount) {
 class EngineMethodTest : public testing::TestWithParam<EngineMethod> {};
 
 TEST_P(EngineMethodTest, LoadAndAggregate) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   const IngestReport report = engine.Load({
       Sale(37, 10, 100.0),
       Sale(37, 11, 50.0),
@@ -53,7 +54,7 @@ TEST_P(EngineMethodTest, LoadAndAggregate) {
 }
 
 TEST_P(EngineMethodTest, InsertKeepsAggregatesCurrent) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   engine.Load({Sale(30, 0, 10.0)});
   ASSERT_TRUE(engine.Insert(Sale(30, 1, 5.0)).ok());
   ASSERT_TRUE(engine.Insert(Sale(31, 1, 7.0)).ok());
@@ -67,7 +68,7 @@ TEST_P(EngineMethodTest, InsertKeepsAggregatesCurrent) {
 }
 
 TEST_P(EngineMethodTest, AverageOverEmptyRangeFails) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   engine.Load({Sale(30, 0, 10.0)});
   const auto avg =
       engine.Average(RangeQuery().WhereIntBetween("day", 50, 60));
@@ -75,7 +76,7 @@ TEST_P(EngineMethodTest, AverageOverEmptyRangeFails) {
 }
 
 TEST_P(EngineMethodTest, RollingSumWindows) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   engine.Load({
       Sale(30, 0, 1.0),
       Sale(30, 1, 2.0),
@@ -96,7 +97,7 @@ TEST_P(EngineMethodTest, RollingSumWindows) {
 }
 
 TEST_P(EngineMethodTest, RollingAverageHandlesEmptyWindows) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   engine.Load({Sale(30, 1, 6.0), Sale(31, 1, 2.0)});
   const auto rolling = engine.RollingAverage(
       RangeQuery().WhereIntBetween("day", 0, 2), "day", 1);
@@ -106,7 +107,7 @@ TEST_P(EngineMethodTest, RollingAverageHandlesEmptyWindows) {
 }
 
 TEST_P(EngineMethodTest, RollingRejectsBadArguments) {
-  OlapEngine engine(SalesSchema(), GetParam());
+  ShardedOlapEngine engine(SalesSchema(), GetParam());
   EXPECT_EQ(engine.RollingSum(RangeQuery(), "day", 0).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.RollingSum(RangeQuery(), "week", 2).status().code(),
@@ -129,20 +130,22 @@ TEST(EngineCrossMethodTest, AllMethodsAgreeUnderRandomWorkload) {
     records.push_back(Sale(rng.UniformInt(18, 67), rng.UniformInt(0, 89),
                            static_cast<double>(rng.UniformInt(1, 500))));
   }
-  std::vector<OlapEngine> engines;
-  engines.emplace_back(SalesSchema(), EngineMethod::kNaive);
-  engines.emplace_back(SalesSchema(), EngineMethod::kPrefixSum);
-  engines.emplace_back(SalesSchema(), EngineMethod::kRelativePrefixSum);
-  engines.emplace_back(SalesSchema(), EngineMethod::kFenwick);
-  engines.emplace_back(SalesSchema(), EngineMethod::kHierarchicalRps);
-  for (auto& engine : engines) engine.Load(records);
+  std::vector<std::unique_ptr<ShardedOlapEngine>> engines;
+  for (const EngineMethod method :
+       {EngineMethod::kNaive, EngineMethod::kPrefixSum,
+        EngineMethod::kRelativePrefixSum, EngineMethod::kFenwick,
+        EngineMethod::kHierarchicalRps}) {
+    engines.push_back(
+        std::make_unique<ShardedOlapEngine>(SalesSchema(), method));
+  }
+  for (auto& engine : engines) engine->Load(records);
 
   for (int step = 0; step < 40; ++step) {
     // Insert the same record everywhere.
     const OlapRecord record = Sale(rng.UniformInt(18, 67),
                                    rng.UniformInt(0, 89),
                                    static_cast<double>(rng.UniformInt(1, 99)));
-    for (auto& engine : engines) ASSERT_TRUE(engine.Insert(record).ok());
+    for (auto& engine : engines) ASSERT_TRUE(engine->Insert(record).ok());
 
     const int64_t age_a = rng.UniformInt(18, 67);
     const int64_t age_b = rng.UniformInt(18, 67);
@@ -154,13 +157,13 @@ TEST(EngineCrossMethodTest, AllMethodsAgreeUnderRandomWorkload) {
                              std::max(age_a, age_b))
             .WhereIntBetween("day", std::min(day_a, day_b),
                              std::max(day_a, day_b));
-    const double expected_sum = engines[0].Sum(query).value();
-    const int64_t expected_count = engines[0].Count(query).value();
+    const double expected_sum = engines[0]->Sum(query).value();
+    const int64_t expected_count = engines[0]->Count(query).value();
     for (size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_NEAR(engines[e].Sum(query).value(), expected_sum, 1e-6)
-          << EngineMethodName(engines[e].method());
-      ASSERT_EQ(engines[e].Count(query).value(), expected_count)
-          << EngineMethodName(engines[e].method());
+      ASSERT_NEAR(engines[e]->Sum(query).value(), expected_sum, 1e-6)
+          << EngineMethodName(engines[e]->method());
+      ASSERT_EQ(engines[e]->Count(query).value(), expected_count)
+          << EngineMethodName(engines[e]->method());
     }
   }
 }
@@ -169,8 +172,8 @@ TEST(EngineUpdateCostTest, RpsUpdatesCheaperThanPrefixSum) {
   // The paper's headline: near-current data is affordable with RPS.
   // Insert a stream of records and compare cumulative touched cells.
   Rng rng(0x616);
-  OlapEngine ps(SalesSchema(), EngineMethod::kPrefixSum);
-  OlapEngine rps(SalesSchema(), EngineMethod::kRelativePrefixSum);
+  ShardedOlapEngine ps(SalesSchema(), EngineMethod::kPrefixSum);
+  ShardedOlapEngine rps(SalesSchema(), EngineMethod::kRelativePrefixSum);
   ps.Load({});
   rps.Load({});
   for (int i = 0; i < 50; ++i) {

@@ -1,8 +1,10 @@
 #include "olap/group_by.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
-#include "olap/engine.h"
+#include "olap/sharded_engine.h"
 
 namespace rps {
 namespace {
@@ -19,9 +21,11 @@ OlapRecord Order(const std::string& region, int64_t month, double revenue) {
 
 class GroupByTest : public testing::TestWithParam<EngineMethod> {
  protected:
-  OlapEngine MakeEngine() const {
-    OlapEngine engine(ShopSchema(), GetParam());
-    engine.Load({
+  // Two shards: one per region.
+  std::unique_ptr<ShardedOlapEngine> MakeEngine() const {
+    auto engine = std::make_unique<ShardedOlapEngine>(ShopSchema(),
+                                                      GetParam(), 2);
+    engine->Load({
         Order("North", 1, 100), Order("North", 1, 50), Order("North", 2, 30),
         Order("South", 1, 20), Order("South", 3, 70), Order("South", 12, 5),
     });
@@ -30,8 +34,8 @@ class GroupByTest : public testing::TestWithParam<EngineMethod> {
 };
 
 TEST_P(GroupByTest, GroupByCategoricalDimension) {
-  const OlapEngine engine = MakeEngine();
-  const auto rows = GroupBy(engine, RangeQuery(), "region");
+  const auto engine = MakeEngine();
+  const auto rows = GroupBy(*engine, RangeQuery(), "region");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 2u);
   EXPECT_EQ(rows.value()[0].slot, "North");
@@ -44,10 +48,10 @@ TEST_P(GroupByTest, GroupByCategoricalDimension) {
 }
 
 TEST_P(GroupByTest, GroupByRespectsQueryRange) {
-  const OlapEngine engine = MakeEngine();
+  const auto engine = MakeEngine();
   // Months 1..2 only.
   const auto rows = GroupBy(
-      engine, RangeQuery().WhereIntBetween("month", 1, 2), "month");
+      *engine, RangeQuery().WhereIntBetween("month", 1, 2), "month");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 2u);
   EXPECT_EQ(rows.value()[0].slot, "1");
@@ -57,9 +61,9 @@ TEST_P(GroupByTest, GroupByRespectsQueryRange) {
 }
 
 TEST_P(GroupByTest, EmptySlotsReportZero) {
-  const OlapEngine engine = MakeEngine();
+  const auto engine = MakeEngine();
   const auto rows = GroupBy(
-      engine, RangeQuery().WhereIntBetween("month", 4, 6), "month");
+      *engine, RangeQuery().WhereIntBetween("month", 4, 6), "month");
   ASSERT_TRUE(rows.ok());
   for (const GroupRow& row : rows.value()) {
     EXPECT_DOUBLE_EQ(row.sum, 0);
@@ -69,15 +73,15 @@ TEST_P(GroupByTest, EmptySlotsReportZero) {
 }
 
 TEST_P(GroupByTest, UnknownDimensionFails) {
-  const OlapEngine engine = MakeEngine();
-  EXPECT_EQ(GroupBy(engine, RangeQuery(), "city").status().code(),
+  const auto engine = MakeEngine();
+  EXPECT_EQ(GroupBy(*engine, RangeQuery(), "city").status().code(),
             StatusCode::kNotFound);
 }
 
 TEST_P(GroupByTest, CrossTabulate) {
-  const OlapEngine engine = MakeEngine();
+  const auto engine = MakeEngine();
   const auto tab = CrossTabulate(
-      engine, RangeQuery().WhereIntBetween("month", 1, 3), "region", "month");
+      *engine, RangeQuery().WhereIntBetween("month", 1, 3), "region", "month");
   ASSERT_TRUE(tab.ok());
   ASSERT_EQ(tab.value().row_labels.size(), 2u);
   ASSERT_EQ(tab.value().col_labels.size(), 3u);
@@ -93,26 +97,26 @@ TEST_P(GroupByTest, CrossTabulate) {
   }
   EXPECT_DOUBLE_EQ(
       total,
-      engine.Sum(RangeQuery().WhereIntBetween("month", 1, 3)).value());
+      engine->Sum(RangeQuery().WhereIntBetween("month", 1, 3)).value());
 }
 
 TEST_P(GroupByTest, CrossTabNeedsDistinctDimensions) {
-  const OlapEngine engine = MakeEngine();
+  const auto engine = MakeEngine();
   EXPECT_EQ(
-      CrossTabulate(engine, RangeQuery(), "month", "month").status().code(),
+      CrossTabulate(*engine, RangeQuery(), "month", "month").status().code(),
       StatusCode::kInvalidArgument);
 }
 
 TEST_P(GroupByTest, TopSlotsBySumSortsAndLimits) {
-  const OlapEngine engine = MakeEngine();
-  const auto top = TopSlotsBySum(engine, RangeQuery(), "month", 2);
+  const auto engine = MakeEngine();
+  const auto top = TopSlotsBySum(*engine, RangeQuery(), "month", 2);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top.value().size(), 2u);
   EXPECT_EQ(top.value()[0].slot, "1");  // 170
   EXPECT_DOUBLE_EQ(top.value()[0].sum, 170);
   EXPECT_EQ(top.value()[1].slot, "3");  // 70
   // limit <= 0 returns all rows sorted.
-  const auto all = TopSlotsBySum(engine, RangeQuery(), "month", 0);
+  const auto all = TopSlotsBySum(*engine, RangeQuery(), "month", 0);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().size(), 12u);
   for (size_t i = 1; i < all.value().size(); ++i) {

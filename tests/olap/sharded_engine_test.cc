@@ -1,5 +1,6 @@
 #include "olap/sharded_engine.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -7,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "olap/engine.h"
+#include "olap/group_by.h"
+#include "olap/window.h"
 #include "util/epoch.h"
+#include "util/thread_pool.h"
 
 namespace rps {
 namespace {
@@ -107,10 +110,10 @@ TEST(ShardedEngineTest, GenerationAdvancesOncePerPublish) {
 }
 
 TEST(ShardedEngineTest, MatchesUnshardedEngineOnEverySurface) {
-  // The sharded engine against the plain (unsynchronized) engine on
-  // identical data: Sum, Count, Average, RollingSum, QueryBatch.
-  OlapEngine reference(TwoDee(12, 5), EngineMethod::kRelativePrefixSum,
-                       nullptr);
+  // Five shards against one (the unsharded plain case) on identical
+  // data, through every read operator.
+  ShardedOlapEngine reference(TwoDee(12, 5), EngineMethod::kRelativePrefixSum,
+                              1, nullptr);
   ShardedOlapEngine sharded(TwoDee(12, 5), EngineMethod::kRelativePrefixSum,
                            5, nullptr);
   std::vector<OlapRecord> records;
@@ -141,11 +144,27 @@ TEST(ShardedEngineTest, MatchesUnshardedEngineOnEverySurface) {
   const RangeQuery all;
   EXPECT_DOUBLE_EQ(sharded.Average(all).value(),
                    reference.Average(all).value());
-  const auto rolling_sharded = sharded.RollingSum(all, "d0", 3);
-  const auto rolling_reference = reference.RollingSum(all, "d0", 3);
-  ASSERT_TRUE(rolling_sharded.ok());
-  ASSERT_TRUE(rolling_reference.ok());
-  EXPECT_EQ(rolling_sharded.value(), rolling_reference.value());
+  EXPECT_EQ(sharded.RollingSum(all, "d0", 3).value(),
+            reference.RollingSum(all, "d0", 3).value());
+  EXPECT_EQ(sharded.RollingAverage(all, "d0", 4).value(),
+            reference.RollingAverage(all, "d0", 4).value());
+  EXPECT_EQ(SlotSeries(sharded, all, "d0").value(),
+            SlotSeries(reference, all, "d0").value());
+  EXPECT_EQ(PeriodDelta(sharded, all, "d0", 2).value(),
+            PeriodDelta(reference, all, "d0", 2).value());
+  EXPECT_EQ(CumulativeSeries(sharded, all, "d1").value(),
+            CumulativeSeries(reference, all, "d1").value());
+  EXPECT_EQ(CrossTabulate(sharded, all, "d0", "d1").value().sums,
+            CrossTabulate(reference, all, "d0", "d1").value().sums);
+  const auto groups = GroupBy(sharded, all, "d0").value();
+  const auto reference_groups = GroupBy(reference, all, "d0").value();
+  ASSERT_EQ(groups.size(), reference_groups.size());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_DOUBLE_EQ(groups[i].sum, reference_groups[i].sum) << i;
+    EXPECT_EQ(groups[i].count, reference_groups[i].count) << i;
+  }
+  EXPECT_EQ(TopSlotsBySum(sharded, all, "d0", 3).value()[0].slot,
+            TopSlotsBySum(reference, all, "d0", 3).value()[0].slot);
 }
 
 TEST(ShardedEngineTest, AverageFailsOnEmptyRange) {
@@ -165,9 +184,16 @@ TEST(ShardedEngineTest, QueryErrorsPropagate) {
 TEST(ShardedEngineTest, HealthAndVarzPayloads) {
   ShardedOlapEngine engine(TwoDee(9, 3), EngineMethod::kRelativePrefixSum, 4,
                            nullptr);
+  ASSERT_TRUE(engine.Insert(Rec(2, 1, 1)).ok());
   const std::string health = engine.HealthJson();
-  EXPECT_NE(health.find("\"strategy\":\"sharded\""), std::string::npos)
+  EXPECT_NE(health.find("\"method\":\"relative_prefix_sum\""),
+            std::string::npos)
       << health;
+  EXPECT_NE(health.find("\"update_cells\":" +
+                        std::to_string(engine.cumulative_update_cells())),
+            std::string::npos)
+      << health;
+  EXPECT_GT(engine.cumulative_update_cells(), 0);
   EXPECT_NE(health.find("\"shards\":4"), std::string::npos) << health;
   const std::string varz = engine.VarzJson();
   // One row per shard with its dimension-0 slice.
@@ -190,20 +216,16 @@ TEST(ShardedEngineTest, IsolatedDomainDrainsOnDestruction) {
 }
 
 TEST(ServingFactoryTest, RoutesOnShardCount) {
-  EXPECT_STREQ(
-      MakeServingEngine(TwoDee(8, 8), EngineMethod::kRelativePrefixSum, 0,
-                        nullptr)
-          ->strategy(),
-      "locked");
-  const auto sharded = MakeServingEngine(
-      TwoDee(8, 8), EngineMethod::kRelativePrefixSum, 2, nullptr);
-  EXPECT_STREQ(sharded->strategy(), "sharded");
-  // < 0: sharded with the default shard count.
-  EXPECT_STREQ(
-      MakeServingEngine(TwoDee(8, 8), EngineMethod::kRelativePrefixSum, -1,
-                        nullptr)
-          ->strategy(),
-      "sharded");
+  const auto shards_of = [](int shards) {
+    const auto engine = MakeServingEngine(
+        TwoDee(64, 8), EngineMethod::kRelativePrefixSum, shards, nullptr);
+    return dynamic_cast<const ShardedOlapEngine&>(*engine).shards();
+  };
+  EXPECT_EQ(shards_of(2), 2);
+  // < 1: the thread-pool default.
+  const int pool_default = std::min(ThreadPool::DefaultThreads(), 64);
+  EXPECT_EQ(shards_of(0), pool_default);
+  EXPECT_EQ(shards_of(-1), pool_default);
 }
 
 TEST(ShardedEngineTest, EveryEngineMethodWorksSharded) {

@@ -7,7 +7,10 @@
 // InsertBatch -- so the whole-cube SUM is invariant in every
 // published version. A reader that ever computed a sum from two
 // different generations (a torn cross-shard read) would break the
-// invariant. Runs under the tsan preset via the `concurrency` label.
+// invariant. The composed operators (GROUP BY, cumulative series) read
+// many boxes from one pinned version, so their totals must hold the
+// invariant too. Runs under the tsan preset via the `concurrency`
+// label.
 
 #include <atomic>
 #include <cstdint>
@@ -16,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "olap/group_by.h"
 #include "olap/sharded_engine.h"
+#include "olap/window.h"
 #include "testing/test_seed.h"
 #include "util/random.h"
 
@@ -78,6 +83,20 @@ TEST(ShardedLinearizabilityTest, ReadersSeeOneGenerationEndToEnd) {
           torn_reads.fetch_add(1);
         }
         if (parts.value()[2] != invariant) torn_reads.fetch_add(1);
+
+        // GROUP BY over every row and a cumulative series over every
+        // column: each is answered from one version, so the rows sum,
+        // and the series ends, at the invariant.
+        const Result<std::vector<GroupRow>> rows =
+            GroupBy(engine, RangeQuery(), "d0");
+        ASSERT_TRUE(rows.ok());
+        double rows_total = 0;
+        for (const GroupRow& row : rows.value()) rows_total += row.sum;
+        if (rows_total != invariant) torn_reads.fetch_add(1);
+        const Result<std::vector<double>> cumulative =
+            CumulativeSeries(engine, RangeQuery(), "d1");
+        ASSERT_TRUE(cumulative.ok());
+        if (cumulative.value().back() != invariant) torn_reads.fetch_add(1);
         reads.fetch_add(1);
       }
     });

@@ -1,22 +1,25 @@
 // Model-based differential tester for every query engine.
 //
 // A trace of randomized operations -- point inserts, bulk loads,
-// range adds, range sums, query batches -- runs simultaneously
-// against the system under test and a deliberately naive model (a
-// flat std::vector with odometer loops, sharing no indexing code with
-// the real structures). Any divergence on a query op is a bug in one
-// of them. On failure the trace is shrunk by greedy chunk removal
-// before reporting, so the log shows a near-minimal reproducer along
-// with the seed (tests/testing/test_seed.h).
+// range adds, range sums, query batches and, on the serving engine,
+// every OLAP read operator -- runs simultaneously against the system
+// under test and a deliberately naive model (flat std::vectors of
+// cell sums and record counts with odometer loops, sharing no
+// indexing code with the real structures). Any divergence on a query
+// op is a bug in one of them. On failure the trace is shrunk by greedy
+// chunk removal before reporting, so the log shows a near-minimal
+// reproducer along with the seed (tests/testing/test_seed.h).
 //
 // Targets: the five in-memory methods (naive, prefix_sum, rps,
 // hierarchical_rps, fenwick), the dual structure (range update /
-// point query), the durable structure, and both serving engines
-// (locked facade and sharded).
+// point query), the durable structure, and the serving engine at one
+// and at five shards.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -25,8 +28,10 @@
 #include "core/dual_rps.h"
 #include "cube/box.h"
 #include "cube/nd_array.h"
-#include "olap/engine.h"
+#include "olap/group_by.h"
 #include "olap/query.h"
+#include "olap/sharded_engine.h"
+#include "olap/window.h"
 #include "storage/durable_rps.h"
 #include "testing/temp_dir.h"
 #include "testing/test_seed.h"
@@ -39,12 +44,36 @@ namespace {
 // Operations
 
 struct Op {
-  enum Kind { kInsert, kLoad, kRangeAdd, kRangeSum, kQueryBatch };
+  enum Kind {
+    kInsert,
+    kLoad,
+    kRangeAdd,
+    kRangeSum,
+    kQueryBatch,
+    // The OLAP read operators (serving targets only), each over the
+    // query range boxes[0].
+    kCount,
+    kAverage,
+    kRollingSum,      // along `dim`, window `param`
+    kRollingAverage,  // along `dim`, window `param`
+    kGroupBy,         // along `dim`
+    kCrossTab,        // rows `dim`, columns `dim2`
+    kTopSlots,        // along `dim`, limit `param`
+    kSlotSeries,      // along `dim`
+    kPeriodDelta,     // along `dim`, lag `param`
+    kCumulative,      // along `dim`
+  };
+  static constexpr int kFirstOperator = kCount;
+  static constexpr int kLastOperator = kCumulative;
+
   Kind kind = kInsert;
   CellIndex cell = CellIndex::Filled(1, 0);  // kInsert
   int64_t delta = 0;                         // kInsert / kRangeAdd
   std::vector<int64_t> dense;                // kLoad (model cell order)
   std::vector<Box> boxes;                    // kRangeAdd(1) / queries
+  int dim = 0;                               // operators
+  int dim2 = 0;                              // kCrossTab
+  int64_t param = 0;                         // window / limit / lag
 };
 
 // Visits every cell of `box` in odometer order (last dim fastest).
@@ -105,8 +134,37 @@ std::string DescribeOp(const Op& op) {
       }
       return out + ")";
     }
+    default:
+      break;
   }
-  return "?";
+  static const char* const kOperatorNames[] = {
+      "Count",   "Average",    "RollingSum", "RollingAverage",
+      "GroupBy", "CrossTab",   "TopSlots",   "SlotSeries",
+      "PeriodDelta", "CumulativeSeries"};
+  return std::string(kOperatorNames[op.kind - Op::kFirstOperator]) + "(" +
+         DescribeBox(op.boxes[0]) + ", d" + std::to_string(op.dim) +
+         (op.kind == Op::kCrossTab ? " x d" + std::to_string(op.dim2) : "") +
+         ", " + std::to_string(op.param) + ")";
+}
+
+// An operator's answer flattened to numbers; ok = false when the
+// operator fails (AVERAGE over a range with no records).
+struct Answer {
+  bool ok = true;
+  std::vector<double> values;
+  bool operator==(const Answer& other) const {
+    return ok == other.ok && values == other.values;
+  }
+};
+
+std::string DescribeAnswer(const Answer& answer) {
+  if (!answer.ok) return "error";
+  std::string out = "[";
+  for (size_t i = 0; i < answer.values.size(); ++i) {
+    if (i > 0) out += " ";
+    out += std::to_string(answer.values[i]);
+  }
+  return out + "]";
 }
 
 // ---------------------------------------------------------------
@@ -121,6 +179,7 @@ class Model {
       cells *= static_cast<size_t>(shape.extent(j));
     }
     cells_.assign(cells, 0);
+    counts_.assign(cells, 0);
   }
 
   size_t FlatIndex(const CellIndex& cell) const {
@@ -132,23 +191,147 @@ class Model {
     return index;
   }
 
+  // Record counts follow the serving engine's view of the ops: an
+  // Insert is one record, a RangeAdd one record per cell, and a Load
+  // one record per nonzero cell.
   void Insert(const CellIndex& cell, int64_t delta) {
     cells_[FlatIndex(cell)] += delta;
+    counts_[FlatIndex(cell)] += 1;
   }
-  void Load(const std::vector<int64_t>& dense) { cells_ = dense; }
+  void Load(const std::vector<int64_t>& dense) {
+    cells_ = dense;
+    for (size_t i = 0; i < dense.size(); ++i) counts_[i] = dense[i] != 0;
+  }
   void RangeAdd(const Box& box, int64_t delta) {
-    ForEachCell(box, [&](const CellIndex& c) { cells_[FlatIndex(c)] += delta; });
+    ForEachCell(box, [&](const CellIndex& c) { Insert(c, delta); });
   }
   int64_t RangeSum(const Box& box) const {
     int64_t total = 0;
     ForEachCell(box, [&](const CellIndex& c) { total += cells_[FlatIndex(c)]; });
     return total;
   }
+  int64_t RangeCount(const Box& box) const {
+    int64_t total = 0;
+    ForEachCell(box,
+                [&](const CellIndex& c) { total += counts_[FlatIndex(c)]; });
+    return total;
+  }
   size_t size() const { return cells_.size(); }
+
+  // The expected answer of an operator op, from first principles.
+  Answer Operator(const Op& op) const {
+    const Box& range = op.boxes[0];
+    Answer answer;
+    std::vector<double>& out = answer.values;
+    // `range` restricted to slots [from, to] of dimension j.
+    const auto restrict = [&](int j, int64_t from, int64_t to) {
+      CellIndex lo = range.lo();
+      CellIndex hi = range.hi();
+      lo[j] = from;
+      hi[j] = to;
+      return Box(lo, hi);
+    };
+    const int64_t first = range.lo()[op.dim];
+    const int64_t last = range.hi()[op.dim];
+    std::vector<double> slot_sums;
+    for (int64_t p = first; p <= last; ++p) {
+      slot_sums.push_back(
+          static_cast<double>(RangeSum(restrict(op.dim, p, p))));
+    }
+    switch (op.kind) {
+      case Op::kCount:
+        out.push_back(static_cast<double>(RangeCount(range)));
+        break;
+      case Op::kAverage: {
+        const int64_t count = RangeCount(range);
+        answer.ok = count != 0;
+        if (answer.ok) {
+          out.push_back(static_cast<double>(RangeSum(range)) /
+                        static_cast<double>(count));
+        }
+        break;
+      }
+      case Op::kRollingSum:
+      case Op::kRollingAverage:
+        for (int64_t p = first; p <= last; ++p) {
+          const Box window =
+              restrict(op.dim, std::max(first, p - op.param + 1), p);
+          const double sum = static_cast<double>(RangeSum(window));
+          const int64_t count = RangeCount(window);
+          if (op.kind == Op::kRollingSum) {
+            out.push_back(sum);
+          } else {
+            out.push_back(count == 0 ? 0.0
+                                     : sum / static_cast<double>(count));
+          }
+        }
+        break;
+      case Op::kGroupBy:
+        for (int64_t p = first; p <= last; ++p) {
+          const Box slot = restrict(op.dim, p, p);
+          out.push_back(static_cast<double>(p));
+          out.push_back(static_cast<double>(RangeSum(slot)));
+          out.push_back(static_cast<double>(RangeCount(slot)));
+        }
+        break;
+      case Op::kCrossTab:
+        for (int64_t p = first; p <= last; ++p) {
+          for (int64_t q = range.lo()[op.dim2]; q <= range.hi()[op.dim2];
+               ++q) {
+            CellIndex lo = range.lo();
+            CellIndex hi = range.hi();
+            lo[op.dim] = hi[op.dim] = p;
+            lo[op.dim2] = hi[op.dim2] = q;
+            out.push_back(static_cast<double>(RangeSum(Box(lo, hi))));
+          }
+        }
+        break;
+      case Op::kTopSlots: {
+        std::vector<size_t> order(slot_sums.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return slot_sums[a] > slot_sums[b];
+        });
+        if (op.param > 0 && static_cast<int64_t>(order.size()) > op.param) {
+          order.resize(static_cast<size_t>(op.param));
+        }
+        for (const size_t i : order) {
+          const int64_t p = first + static_cast<int64_t>(i);
+          out.push_back(static_cast<double>(p));
+          out.push_back(slot_sums[i]);
+          out.push_back(
+              static_cast<double>(RangeCount(restrict(op.dim, p, p))));
+        }
+        break;
+      }
+      case Op::kSlotSeries:
+        out = slot_sums;
+        break;
+      case Op::kPeriodDelta:
+        for (size_t i = 0; i < slot_sums.size(); ++i) {
+          out.push_back(static_cast<int64_t>(i) >= op.param
+                            ? slot_sums[i] -
+                                  slot_sums[i - static_cast<size_t>(op.param)]
+                            : slot_sums[i]);
+        }
+        break;
+      case Op::kCumulative:
+        for (int64_t p = first; p <= last; ++p) {
+          out.push_back(
+              static_cast<double>(RangeSum(restrict(op.dim, first, p))));
+        }
+        break;
+      default:
+        answer.ok = false;
+        break;
+    }
+    return answer;
+  }
 
  private:
   Shape shape_;
   std::vector<int64_t> cells_;
+  std::vector<int64_t> counts_;
 };
 
 // ---------------------------------------------------------------
@@ -163,6 +346,9 @@ class Sut {
   virtual void RangeAdd(const Box& box, int64_t delta) = 0;
   virtual int64_t RangeSum(const Box& box) = 0;
   virtual std::vector<int64_t> QueryBatch(const std::vector<Box>& boxes) = 0;
+  // Only the serving engine answers operator ops; traces for the other
+  // targets never contain them.
+  virtual Answer Operator(const Op& /*op*/) { return Answer{false, {}}; }
 };
 
 NdArray<int64_t> DenseToArray(const Shape& shape,
@@ -323,20 +509,18 @@ class DurableSut : public Sut {
   std::unique_ptr<DurableRps<int64_t>> durable_;
 };
 
-// The serving engines (locked facade and sharded), driven through
-// the integer-dimension OLAP surface with integral measures, so
-// double sums stay exact.
+// The serving engine, driven through the integer-dimension OLAP
+// surface with integral measures, so double sums stay exact.
 class ServingSut : public Sut {
  public:
   ServingSut(int shards, const Shape& shape) : shape_(shape) {
     std::vector<Dimension> dimensions;
     for (int j = 0; j < shape.dims(); ++j) {
-      dimensions.push_back(Dimension::Integer("d" + std::to_string(j), 0,
-                                              shape.extent(j)));
+      dimensions.push_back(Dimension::Integer(Dim(j), 0, shape.extent(j)));
     }
-    engine_ = MakeServingEngine(Schema("MEASURE", std::move(dimensions)),
-                                EngineMethod::kRelativePrefixSum, shards,
-                                nullptr);
+    engine_ = std::make_unique<ShardedOlapEngine>(
+        Schema("MEASURE", std::move(dimensions)),
+        EngineMethod::kRelativePrefixSum, shards, nullptr);
   }
 
   void Insert(const CellIndex& cell, int64_t delta) override {
@@ -376,7 +560,69 @@ class ServingSut : public Sut {
     return out;
   }
 
+  Answer Operator(const Op& op) override {
+    const ShardedOlapEngine& engine = *engine_;
+    const RangeQuery query = Query(op.boxes[0]);
+    const std::string dim = Dim(op.dim);
+    switch (op.kind) {
+      case Op::kCount:
+        return Flatten(engine.Count(query));
+      case Op::kAverage:
+        return Flatten(engine.Average(query));
+      case Op::kRollingSum:
+        return Flatten(engine.RollingSum(query, dim, op.param));
+      case Op::kRollingAverage:
+        return Flatten(engine.RollingAverage(query, dim, op.param));
+      case Op::kGroupBy:
+        return Flatten(GroupBy(engine, query, dim));
+      case Op::kCrossTab: {
+        const Result<CrossTab> tab =
+            CrossTabulate(engine, query, dim, Dim(op.dim2));
+        if (!tab.ok()) return Answer{false, {}};
+        Answer answer;
+        for (const std::vector<double>& row : tab.value().sums) {
+          answer.values.insert(answer.values.end(), row.begin(), row.end());
+        }
+        return answer;
+      }
+      case Op::kTopSlots:
+        return Flatten(TopSlotsBySum(engine, query, dim, op.param));
+      case Op::kSlotSeries:
+        return Flatten(SlotSeries(engine, query, dim));
+      case Op::kPeriodDelta:
+        return Flatten(PeriodDelta(engine, query, dim, op.param));
+      case Op::kCumulative:
+        return Flatten(CumulativeSeries(engine, query, dim));
+      default:
+        return Answer{false, {}};
+    }
+  }
+
  private:
+  static std::string Dim(int j) { return "d" + std::to_string(j); }
+
+  template <typename T>
+  static Answer Flatten(const Result<T>& result) {
+    if (!result.ok()) return Answer{false, {}};
+    return Answer{true, {static_cast<double>(result.value())}};
+  }
+  static Answer Flatten(const Result<std::vector<double>>& result) {
+    if (!result.ok()) return Answer{false, {}};
+    return Answer{true, result.value()};
+  }
+  // Group rows as (slot, sum, count) triples; integer slots are
+  // labelled with their value.
+  static Answer Flatten(const Result<std::vector<GroupRow>>& result) {
+    if (!result.ok()) return Answer{false, {}};
+    Answer answer;
+    for (const GroupRow& row : result.value()) {
+      answer.values.push_back(std::stod(row.slot));
+      answer.values.push_back(row.sum);
+      answer.values.push_back(static_cast<double>(row.count));
+    }
+    return answer;
+  }
+
   OlapRecord Record(const CellIndex& cell, int64_t measure) const {
     OlapRecord record;
     for (int j = 0; j < cell.dims(); ++j) record.values.emplace_back(cell[j]);
@@ -386,14 +632,13 @@ class ServingSut : public Sut {
   RangeQuery Query(const Box& box) const {
     RangeQuery query;
     for (int j = 0; j < box.dims(); ++j) {
-      query.WhereIntBetween("d" + std::to_string(j), box.lo()[j],
-                            box.hi()[j]);
+      query.WhereIntBetween(Dim(j), box.lo()[j], box.hi()[j]);
     }
     return query;
   }
 
   Shape shape_;
-  std::unique_ptr<OlapServingEngine> engine_;
+  std::unique_ptr<ShardedOlapEngine> engine_;
 };
 
 // ---------------------------------------------------------------
@@ -419,12 +664,35 @@ CellIndex RandomCell(Rng& rng, const Shape& shape) {
   return cell;
 }
 
+// One operator op over a random range; dimensions and parameters are
+// drawn so every operator's edge cases (window and lag beyond the
+// range, limit 0 = all rows) appear.
+Op RandomOperator(Rng& rng, const Shape& shape) {
+  Op op;
+  op.kind = static_cast<Op::Kind>(
+      rng.UniformInt(Op::kFirstOperator, Op::kLastOperator));
+  op.boxes = {RandomBox(rng, shape)};
+  op.dim = static_cast<int>(rng.UniformInt(0, shape.dims() - 1));
+  op.dim2 = (op.dim + static_cast<int>(rng.UniformInt(1, shape.dims() - 1))) %
+            shape.dims();
+  op.param = rng.UniformInt(op.kind == Op::kTopSlots ? 0 : 1,
+                            shape.extent(op.dim) + 1);
+  return op;
+}
+
+// `operators` adds the OLAP read operators to the mix (serving
+// targets); without it the trace is the same as for every other
+// target.
 std::vector<Op> GenerateTrace(Rng& rng, const Shape& shape, size_t ops,
-                              size_t model_cells) {
+                              size_t model_cells, bool operators = false) {
   std::vector<Op> trace;
   trace.reserve(ops);
   for (size_t i = 0; i < ops; ++i) {
     Op op;
+    if (operators && rng.UniformInt(0, 99) < 20) {
+      trace.push_back(RandomOperator(rng, shape));
+      continue;
+    }
     const int64_t pick = rng.UniformInt(0, 99);
     if (pick < 45) {
       op.kind = Op::kInsert;
@@ -503,6 +771,16 @@ std::string RunTrace(const Shape& shape, const SutFactory& factory,
         }
         break;
       }
+      default: {
+        const Answer expected = model.Operator(op);
+        const Answer actual = sut->Operator(op);
+        if (!(actual == expected)) {
+          return "op #" + std::to_string(i) + " " + DescribeOp(op) +
+                 ": sut=" + DescribeAnswer(actual) +
+                 " model=" + DescribeAnswer(expected);
+        }
+        break;
+      }
     }
   }
   return "";
@@ -539,14 +817,16 @@ std::vector<Op> ShrinkTrace(const Shape& shape, const SutFactory& factory,
 
 // The whole harness for one target: generate, run, shrink-and-report.
 void CheckTarget(const std::string& name, const Shape& shape,
-                 const SutFactory& factory, size_t ops) {
+                 const SutFactory& factory, size_t ops,
+                 bool operators = false) {
   const uint64_t seed = testing::TestSeed(0x5eed0000 + ops);
   Rng rng(seed);
   size_t model_cells = 1;
   for (int j = 0; j < shape.dims(); ++j) {
     model_cells *= static_cast<size_t>(shape.extent(j));
   }
-  const std::vector<Op> trace = GenerateTrace(rng, shape, ops, model_cells);
+  const std::vector<Op> trace =
+      GenerateTrace(rng, shape, ops, model_cells, operators);
   const std::string failure = RunTrace(shape, factory, trace);
   if (failure.empty()) return;
   const std::vector<Op> minimal = ShrinkTrace(shape, factory, trace);
@@ -655,18 +935,14 @@ TEST(ModelCheck, DurableGroupCommitCrashAndRecover) {
               kOps / 10);
 }
 
-TEST(ModelCheck, LockedEngine) {
-  const Shape shape = Shape::FromExtents({12, 9});
-  CheckTarget("locked", shape,
-              [&] { return std::make_unique<ServingSut>(0, shape); }, kOps);
-}
-
 TEST(ModelCheck, ShardedEngine) {
   const Shape shape = Shape::FromExtents({12, 9});
   // 5 shards over 12 rows: uneven slices (3,3,2,2,2), so boundary
-  // routing and multi-shard merges are both exercised.
+  // routing and multi-shard merges are both exercised, by every
+  // operator.
   CheckTarget("sharded", shape,
-              [&] { return std::make_unique<ServingSut>(5, shape); }, kOps);
+              [&] { return std::make_unique<ServingSut>(5, shape); }, kOps,
+              /*operators=*/true);
 }
 
 // Harness self-check: a SUT with an injected bug (drops every Insert
@@ -701,7 +977,8 @@ TEST(ModelCheck, HarnessCatchesAndShrinksInjectedBug) {
 TEST(ModelCheck, ShardedSingleShard) {
   const Shape shape = Shape::FromExtents({12, 9});
   CheckTarget("sharded_1", shape,
-              [&] { return std::make_unique<ServingSut>(1, shape); }, kOps);
+              [&] { return std::make_unique<ServingSut>(1, shape); }, kOps,
+              /*operators=*/true);
 }
 
 }  // namespace

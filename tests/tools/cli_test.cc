@@ -15,6 +15,7 @@
 
 #include "core/snapshot.h"
 #include "cube/cube_io.h"
+#include "util/epoch.h"
 
 namespace rps::cli {
 namespace {
@@ -185,6 +186,13 @@ TEST_F(CliEndToEndTest, ErrorsReturnNonZero) {
   // Box dimensionality mismatch.
   EXPECT_EQ(RunCli({"build", "--cube", cube_, "--box", "4x4x4", "--out",
                     snap_}),
+            1);
+  // Every serve reader pins an epoch slot, and serve's writer and
+  // exposition thread pin two more: the smallest --readers that would
+  // overflow the slots is refused before any thread starts.
+  EXPECT_EQ(RunCli({"serve", "--readers",
+                    std::to_string(EpochDomain::kMaxSlots - 1),
+                    "--duration-s", "1"}),
             1);
 }
 

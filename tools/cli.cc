@@ -23,16 +23,14 @@
 #include "obs/event_log.h"
 #include "obs/expo_server.h"
 #include "obs/metrics.h"
-#include "olap/concurrent_engine.h"
 #include "olap/durable_engine.h"
 #include "olap/sharded_engine.h"
 #include "storage/buffer_pool.h"
-#include "storage/durable_rps.h"
 #include "storage/group_commit.h"
 #include "storage/pager.h"
 #include "storage/recovery_torture.h"
 #include "storage/wal.h"
-#include "util/mutex.h"
+#include "util/epoch.h"
 #include "util/random.h"
 #include "workload/data_gen.h"
 #include "workload/driver.h"
@@ -287,11 +285,16 @@ Status ApplyObsFlags(const ParsedArgs& args) {
   return Status::Ok();
 }
 
-// Serving stack for live observability: a ConcurrentOlapEngine under
-// synthetic reader/writer load and a DurableRps taking periodic
-// checkpoints, exposed on the exposition server for the run's
-// duration. This is what CI scrapes and what an operator points a
-// browser at to watch the paper's query/update trade-off live.
+// Threads `serve` starts besides its readers that pin an epoch slot:
+// the writer and the exposition server's serving thread.
+constexpr int64_t kServePinningThreads = 2;
+
+// Serving stack for live observability: the serving engine (wrapped
+// in a DurableOlapEngine under --durable group|per_record, taking
+// periodic checkpoints) under synthetic reader/writer load, exposed
+// on the exposition server for the run's duration. This is what CI
+// scrapes and what an operator points a browser at to watch the
+// paper's query/update trade-off live.
 Status CmdServe(const ParsedArgs& args) {
   RPS_ASSIGN_OR_RETURN(const Shape shape,
                        ParseShape(OptionOr(args, "shape", "64x64")));
@@ -302,13 +305,11 @@ Status CmdServe(const ParsedArgs& args) {
   RPS_ASSIGN_OR_RETURN(const int64_t seed, IntOptionOr(args, "seed", 1));
   RPS_ASSIGN_OR_RETURN(const int64_t checkpoint_every,
                        IntOptionOr(args, "checkpoint-every", 256));
-  // 0 = single-lock facade (the default, matching prior behavior);
-  // >= 1 = sharded engine; < 0 = sharded with the pool default.
+  // < 1 = one shard per pool thread (the engine's default).
   RPS_ASSIGN_OR_RETURN(const int64_t shards, IntOptionOr(args, "shards", 0));
   // --durable group|per_record funnels the writer's inserts through a
   // DurableOlapEngine (every record logged durably before Insert
-  // returns, checkpoints pipelined); "off" keeps the legacy DurableRps
-  // sidecar demo alongside a plain serving engine.
+  // returns, checkpoints pipelined); "off" serves from memory only.
   const std::string durable_mode = OptionOr(args, "durable", "off");
   if (durable_mode != "off" && durable_mode != "group" &&
       durable_mode != "per_record") {
@@ -317,23 +318,17 @@ Status CmdServe(const ParsedArgs& args) {
   }
   if (duration_s < 1) return Status::InvalidArgument("--duration-s must be >= 1");
   if (readers < 1) return Status::InvalidArgument("--readers must be >= 1");
+  // Every reader pins an epoch slot, as do the threads serve starts
+  // itself; the epoch domain has a fixed number of slots.
+  if (readers + kServePinningThreads > EpochDomain::kMaxSlots) {
+    return Status::InvalidArgument(
+        "--readers must be <= " +
+        std::to_string(EpochDomain::kMaxSlots - kServePinningThreads));
+  }
   if (checkpoint_every < 1) {
     return Status::InvalidArgument("--checkpoint-every must be >= 1");
   }
   RPS_RETURN_IF_ERROR(ApplyObsFlags(args));
-
-  // Scratch dir for the durable state: gives /healthz a real
-  // generation number that advances as the writer checkpoints.
-  std::string directory = OptionOr(args, "dir", "");
-  const bool own_directory = directory.empty();
-  if (own_directory) {
-    directory = (std::filesystem::temp_directory_path() /
-                 ("rps_serve_" + std::to_string(::getpid())))
-                    .string();
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) return Status::IoError("cannot create scratch dir " + directory);
 
   // Engine over an Integer schema matching --shape (dimensions d0,
   // d1, ...), queried and updated concurrently below.
@@ -344,8 +339,23 @@ Status CmdServe(const ParsedArgs& args) {
   }
   Schema schema("MEASURE", std::move(dimensions));
   std::unique_ptr<OlapServingEngine> engine;
+  const ShardedOlapEngine* sharded = nullptr;
   DurableOlapEngine* durable_engine = nullptr;
+  std::string directory;
+  bool own_directory = false;
+  std::error_code ec;
   if (durable_mode != "off") {
+    // Generation files go to --dir, or to a scratch dir removed on
+    // success.
+    directory = OptionOr(args, "dir", "");
+    own_directory = directory.empty();
+    if (own_directory) {
+      directory = (std::filesystem::temp_directory_path() /
+                   ("rps_serve_" + std::to_string(::getpid())))
+                      .string();
+    }
+    std::filesystem::create_directories(directory, ec);
+    if (ec) return Status::IoError("cannot create scratch dir " + directory);
     DurableOptions durable_options;
     durable_options.group_commit = durable_mode == "group";
     RPS_ASSIGN_OR_RETURN(
@@ -355,32 +365,16 @@ Status CmdServe(const ParsedArgs& args) {
                                   static_cast<int>(shards), directory,
                                   durable_options));
     durable_engine = created.get();
+    sharded = &created->inner();
     engine = std::move(created);
   } else {
-    engine = MakeServingEngine(std::move(schema),
-                               EngineMethod::kRelativePrefixSum,
-                               static_cast<int>(shards));
+    auto created = std::make_unique<ShardedOlapEngine>(
+        std::move(schema), EngineMethod::kRelativePrefixSum,
+        static_cast<int>(shards));
+    sharded = created.get();
+    engine = std::move(created);
   }
-
-  // Legacy mode keeps the DurableRps sidecar (checkpointed copy of
-  // the writer's cell stream) so /healthz's durable source still has
-  // a generation to report.
-  struct DurableShared {
-    explicit DurableShared(DurableRps<int64_t> d) : durable(std::move(d)) {}
-    Mutex mu{"CmdServe.durable"};
-    DurableRps<int64_t> durable GUARDED_BY(mu);
-    int64_t adds GUARDED_BY(mu) = 0;
-    int64_t checkpoints GUARDED_BY(mu) = 0;
-  };
-  std::optional<DurableShared> shared;
-  if (durable_engine == nullptr) {
-    const NdArray<int64_t> zero(shape, 0);
-    RPS_ASSIGN_OR_RETURN(DurableRps<int64_t> initial,
-                         DurableRps<int64_t>::Create(
-                             zero, RecommendedBoxSize(shape), directory));
-    shared.emplace(std::move(initial));
-  }
-  std::atomic<int64_t> engine_checkpoints{0};
+  int64_t checkpoints = 0;  // written by the writer thread only
 
   std::atomic<int64_t> queries{0};
   std::atomic<int64_t> updates{0};
@@ -389,22 +383,11 @@ Status CmdServe(const ParsedArgs& args) {
   obs::ExpoServer::Options options;
   options.port = static_cast<int>(port);
   obs::ExpoServer server(options);
-  server.AddHealthSource("engine",
-                         [&engine] { return engine->HealthJson(); });
-  const OlapServingEngine* query_engine =
-      durable_engine != nullptr ? &durable_engine->inner() : engine.get();
-  if (const auto* sharded =
-          dynamic_cast<const ShardedOlapEngine*>(query_engine)) {
-    server.AddVarzSource("shards", [sharded] { return sharded->VarzJson(); });
-  }
+  server.AddHealthSource("engine", [sharded] { return sharded->HealthJson(); });
+  server.AddVarzSource("shards", [sharded] { return sharded->VarzJson(); });
   if (durable_engine != nullptr) {
     server.AddHealthSource("durable", [durable_engine] {
       return durable_engine->HealthJson();
-    });
-  } else {
-    server.AddHealthSource("durable", [&shared] {
-      MutexLock lock(&shared->mu);
-      return shared->durable.HealthJson();
     });
   }
   server.AddVarzSource("kernels", [] { return kernels::InfoJson(); });
@@ -454,10 +437,8 @@ Status CmdServe(const ParsedArgs& args) {
     int64_t inserted = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       OlapRecord record;
-      CellIndex cell = CellIndex::Filled(shape.dims(), 0);
       for (int j = 0; j < shape.dims(); ++j) {
-        cell[j] = rng.UniformInt(0, shape.extent(j) - 1);
-        record.values.emplace_back(cell[j]);
+        record.values.emplace_back(rng.UniformInt(0, shape.extent(j) - 1));
       }
       record.measure = static_cast<double>(rng.UniformInt(0, 9));
       if (engine->Insert(record).ok()) {
@@ -466,23 +447,12 @@ Status CmdServe(const ParsedArgs& args) {
       } else {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
-      if (durable_engine != nullptr) {
-        // The engine logged the insert durably already; periodic
-        // checkpoints bound replay (and run pipelined, so readers and
-        // this writer keep going while the base file lands).
-        if (inserted > 0 && inserted % checkpoint_every == 0) {
-          if (durable_engine->Checkpoint().ok()) {
-            engine_checkpoints.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        continue;
-      }
-      MutexLock lock(&shared->mu);
-      if (!shared->durable.Add(cell, 1).ok()) {
-        failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (++shared->adds % checkpoint_every == 0) {
-        if (shared->durable.Checkpoint().ok()) ++shared->checkpoints;
+      // The engine logged the insert durably already; periodic
+      // checkpoints bound replay (and run pipelined, so readers and
+      // this writer keep going while the base file lands).
+      if (durable_engine != nullptr && inserted > 0 &&
+          inserted % checkpoint_every == 0) {
+        if (durable_engine->Checkpoint().ok()) ++checkpoints;
       }
     }
   });
@@ -497,306 +467,19 @@ Status CmdServe(const ParsedArgs& args) {
   server.Stop();
   obs::EventLog::Global().Close();
 
-  int64_t checkpoints = 0;
-  int64_t generation = 0;
-  if (durable_engine != nullptr) {
-    checkpoints = engine_checkpoints.load();
-    generation = durable_engine->generation();
-  } else {
-    MutexLock lock(&shared->mu);
-    checkpoints = shared->checkpoints;
-    generation = shared->durable.generation();
-  }
   std::printf("served %lld queries, %lld updates (%lld failures); "
               "%lld checkpoints, final generation %lld\n",
               static_cast<long long>(queries.load()),
               static_cast<long long>(updates.load()),
               static_cast<long long>(failures.load()),
               static_cast<long long>(checkpoints),
-              static_cast<long long>(generation));
+              static_cast<long long>(durable_engine != nullptr
+                                         ? durable_engine->generation()
+                                         : 0));
   if (failures.load() != 0) {
     return Status::Internal("serve workload had failures");
   }
   if (own_directory) std::filesystem::remove_all(directory, ec);
-  return Status::Ok();
-}
-
-std::string ShardScalingRowJson(const ShardScalingReport& report) {
-  char buffer[640];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"engine\":\"%s\",\"shards\":%d,\"readers\":%d,"
-      "\"readonly_qps\":%.1f,\"readonly_p50_us\":%.2f,"
-      "\"readonly_p99_us\":%.2f,"
-      "\"mixed_qps\":%.1f,\"mixed_p50_us\":%.2f,\"mixed_p99_us\":%.2f,"
-      "\"writer_batches\":%lld,\"writer_records\":%lld,"
-      "\"writer_busy_seconds\":%.3f,\"query_checksum\":%lld}",
-      report.engine.c_str(), report.shards, report.readers,
-      report.readonly_qps(), report.readonly_p50_micros,
-      report.readonly_p99_micros, report.mixed_qps(),
-      report.mixed_p50_micros, report.mixed_p99_micros,
-      static_cast<long long>(report.writer_batches),
-      static_cast<long long>(report.writer_records),
-      report.writer_busy_seconds,
-      static_cast<long long>(report.query_checksum));
-  return buffer;
-}
-
-// shardbench: the mixed reader/writer scaling experiment behind
-// docs/PERFORMANCE.md's shard-scaling table. Runs the workload once
-// per entry in --shards (0 = the single-lock facade baseline) and
-// writes every row to --out as BENCH_shard_scaling.json.
-Status CmdShardBench(const ParsedArgs& args) {
-  RPS_ASSIGN_OR_RETURN(const int64_t side, IntOptionOr(args, "side", 1024));
-  RPS_ASSIGN_OR_RETURN(const int64_t readers, IntOptionOr(args, "readers", 7));
-  RPS_ASSIGN_OR_RETURN(const int64_t phase_ms,
-                       IntOptionOr(args, "phase-ms", 2000));
-  RPS_ASSIGN_OR_RETURN(const int64_t writer_batch,
-                       IntOptionOr(args, "writer-batch", 128));
-  // The default rate is far above what one core can absorb, so the
-  // writer runs saturated and the bench measures sustained ingest.
-  RPS_ASSIGN_OR_RETURN(const int64_t writer_rate,
-                       IntOptionOr(args, "writer-rate", 1000));
-  RPS_ASSIGN_OR_RETURN(const int64_t hot_rows,
-                       IntOptionOr(args, "hot-rows", 8));
-  RPS_ASSIGN_OR_RETURN(const int64_t preload,
-                       IntOptionOr(args, "preload", 16384));
-  RPS_ASSIGN_OR_RETURN(const int64_t seed, IntOptionOr(args, "seed", 1));
-  RPS_ASSIGN_OR_RETURN(
-      const std::vector<int64_t> shard_counts,
-      SplitInts(OptionOr(args, "shards", "0,1,2,4,8"), ','));
-  const std::string out_path = OptionOr(args, "out", "");
-  if (side < 2 || readers < 1 || phase_ms < 1 || writer_batch < 1 ||
-      writer_rate < 1 || hot_rows < 1 || preload < 0) {
-    return Status::InvalidArgument("shardbench: bad parameter");
-  }
-
-  std::printf("%-8s %7s %13s %13s %11s %11s %9s\n", "engine", "shards",
-              "ro qps", "mixed qps", "ro p99 us", "mx p99 us", "wr rec/s");
-  std::vector<ShardScalingReport> reports;
-  for (const int64_t count : shard_counts) {
-    ShardScalingSpec spec;
-    spec.shards = static_cast<int>(count);
-    spec.readers = static_cast<int>(readers);
-    spec.side = side;
-    spec.phase_seconds = static_cast<double>(phase_ms) / 1000.0;
-    spec.writer_batch = writer_batch;
-    spec.writer_batches_per_second = static_cast<double>(writer_rate);
-    spec.writer_hot_rows = hot_rows;
-    spec.preload_records = preload;
-    spec.seed = static_cast<uint64_t>(seed);
-    spec.pool = &ThreadPool::Global();
-    const ShardScalingReport report = RunShardScalingWorkload(spec);
-    const double records_per_second =
-        report.mixed_seconds == 0
-            ? 0
-            : static_cast<double>(report.writer_records) /
-                  report.mixed_seconds;
-    std::printf("%-8s %7d %13.0f %13.0f %11.2f %11.2f %9.0f\n",
-                report.engine.c_str(), report.shards, report.readonly_qps(),
-                report.mixed_qps(), report.readonly_p99_micros,
-                report.mixed_p99_micros, records_per_second);
-    std::fflush(stdout);
-    reports.push_back(report);
-  }
-  if (!out_path.empty()) {
-    std::string rows;
-    for (const ShardScalingReport& report : reports) {
-      if (!rows.empty()) rows += ",";
-      rows += ShardScalingRowJson(report);
-    }
-    // Headline summary: sustained ingest scaling between the smallest
-    // and largest sharded configurations, and the worst reader-p99
-    // inflation a sharded configuration showed under concurrent
-    // writes (the zero-stall check: must stay within 2x).
-    const ShardScalingReport* first_sharded = nullptr;
-    const ShardScalingReport* last_sharded = nullptr;
-    double worst_p99_ratio = 0;
-    for (const ShardScalingReport& report : reports) {
-      if (report.engine != "sharded") continue;
-      if (first_sharded == nullptr) first_sharded = &report;
-      last_sharded = &report;
-      if (report.readonly_p99_micros > 0) {
-        worst_p99_ratio = std::max(
-            worst_p99_ratio,
-            report.mixed_p99_micros / report.readonly_p99_micros);
-      }
-    }
-    std::string summary = "{";
-    if (first_sharded != nullptr && first_sharded != last_sharded &&
-        first_sharded->writer_records > 0) {
-      char buffer[160];
-      std::snprintf(
-          buffer, sizeof(buffer),
-          "\"ingest_scaling_%dto%d_shards\":%.2f,", first_sharded->shards,
-          last_sharded->shards,
-          static_cast<double>(last_sharded->writer_records) /
-              static_cast<double>(first_sharded->writer_records));
-      summary += buffer;
-    }
-    {
-      char buffer[96];
-      std::snprintf(buffer, sizeof(buffer),
-                    "\"sharded_worst_mixed_over_readonly_p99\":%.2f}",
-                    worst_p99_ratio);
-      summary += buffer;
-    }
-    std::string json = "{\"benchmark\":\"shard_scaling\",";
-    json += "\"side\":" + std::to_string(side);
-    json += ",\"readers\":" + std::to_string(readers);
-    json += ",\"phase_ms\":" + std::to_string(phase_ms);
-    json += ",\"writer_batch\":" + std::to_string(writer_batch);
-    json += ",\"writer_rate\":" + std::to_string(writer_rate);
-    json += ",\"hot_rows\":" + std::to_string(hot_rows);
-    json += ",\"preload\":" + std::to_string(preload);
-    json += ",\"seed\":" + std::to_string(seed);
-    json += ",\"summary\":" + summary;
-    json += ",\"runs\":[" + rows + "]}";
-    RPS_RETURN_IF_ERROR(WriteTextFile(out_path, json + "\n"));
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return Status::Ok();
-}
-
-std::string DurableScalingRowJson(const DurableScalingReport& report) {
-  char buffer[256];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"mode\":\"%s\",\"writers\":%d,\"seconds\":%.3f,"
-      "\"records\":%lld,\"records_per_second\":%.1f,"
-      "\"p50_commit_us\":%.2f,\"p99_commit_us\":%.2f}",
-      report.mode.c_str(), report.writers, report.seconds,
-      static_cast<long long>(report.records), report.records_per_second(),
-      report.p50_commit_micros, report.p99_commit_micros);
-  return buffer;
-}
-
-// durablebench: the durable-ingest scaling experiment behind
-// docs/PERFORMANCE.md's group-commit table. For each entry in
-// --writers the same saturating insert workload runs twice --
-// per-record WAL (one barrier per record) and group commit (one
-// barrier per batch of concurrent writers) -- at identical barrier
-// strength, then every row plus the headline group/per-record
-// throughput ratio at the largest writer count is written to --out
-// as BENCH_durable_scaling.json.
-Status CmdDurableBench(const ParsedArgs& args) {
-  RPS_ASSIGN_OR_RETURN(const std::vector<int64_t> writer_counts,
-                       SplitInts(OptionOr(args, "writers", "1,2,4,8"), ','));
-  RPS_ASSIGN_OR_RETURN(const int64_t side, IntOptionOr(args, "side", 256));
-  RPS_ASSIGN_OR_RETURN(const int64_t run_ms,
-                       IntOptionOr(args, "run-ms", 2000));
-  RPS_ASSIGN_OR_RETURN(const int64_t batch, IntOptionOr(args, "batch", 1));
-  RPS_ASSIGN_OR_RETURN(const int64_t shards, IntOptionOr(args, "shards", 0));
-  RPS_ASSIGN_OR_RETURN(const int64_t seed, IntOptionOr(args, "seed", 1));
-  const std::string barrier_name = OptionOr(args, "barrier", "sync");
-  const std::string out_path = OptionOr(args, "out", "");
-  if (writer_counts.empty() || side < 2 || run_ms < 1 || batch < 1) {
-    return Status::InvalidArgument("durablebench: bad parameter");
-  }
-  for (const int64_t count : writer_counts) {
-    if (count < 1) return Status::InvalidArgument("--writers entries must be >= 1");
-  }
-  WalBarrier barrier;
-  if (barrier_name == "sync") {
-    barrier = WalBarrier::kSync;
-  } else if (barrier_name == "flush") {
-    barrier = WalBarrier::kFlush;
-  } else {
-    return Status::InvalidArgument("unknown --barrier '" + barrier_name +
-                                   "' (sync|flush)");
-  }
-
-  // Scratch root: --dir if given, otherwise a temp dir removed on
-  // success. Each run gets its own fresh subdirectory.
-  std::string root = OptionOr(args, "dir", "");
-  const bool own_root = root.empty();
-  if (own_root) {
-    root = (std::filesystem::temp_directory_path() /
-            ("rps_durablebench_" + std::to_string(::getpid())))
-               .string();
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(root, ec);
-  if (ec) return Status::IoError("cannot create scratch dir " + root);
-
-  std::printf("%-12s %8s %12s %12s %12s\n", "mode", "writers", "rec/s",
-              "p50 us", "p99 us");
-  std::vector<DurableScalingReport> reports;
-  for (const int64_t writers : writer_counts) {
-    for (const bool group : {false, true}) {
-      DurableScalingSpec spec;
-      spec.writers = static_cast<int>(writers);
-      spec.side = side;
-      spec.run_seconds = static_cast<double>(run_ms) / 1000.0;
-      spec.batch = batch;
-      spec.group_commit = group;
-      spec.barrier = barrier;
-      spec.shards = static_cast<int>(shards);
-      spec.seed = static_cast<uint64_t>(seed);
-      spec.pool = &ThreadPool::Global();
-      spec.directory =
-          (std::filesystem::path(root) /
-           ((group ? "group_" : "per_record_") + std::to_string(writers)))
-              .string();
-      std::filesystem::remove_all(spec.directory, ec);
-      std::filesystem::create_directories(spec.directory, ec);
-      if (ec) {
-        return Status::IoError("cannot create scratch dir " + spec.directory);
-      }
-      RPS_ASSIGN_OR_RETURN(const DurableScalingReport report,
-                           RunDurableScalingWorkload(spec));
-      std::printf("%-12s %8d %12.0f %12.2f %12.2f\n", report.mode.c_str(),
-                  report.writers, report.records_per_second(),
-                  report.p50_commit_micros, report.p99_commit_micros);
-      std::fflush(stdout);
-      reports.push_back(report);
-      std::filesystem::remove_all(spec.directory, ec);
-    }
-  }
-
-  // Headline: group-commit throughput over per-record throughput at
-  // the largest writer count (the amortization win; barrier strength
-  // is identical in both modes).
-  const int max_writers = static_cast<int>(
-      *std::max_element(writer_counts.begin(), writer_counts.end()));
-  double per_record_rps = 0;
-  double group_rps = 0;
-  for (const DurableScalingReport& report : reports) {
-    if (report.writers != max_writers) continue;
-    if (report.mode == "group_commit") {
-      group_rps = report.records_per_second();
-    } else {
-      per_record_rps = report.records_per_second();
-    }
-  }
-  const double speedup = per_record_rps > 0 ? group_rps / per_record_rps : 0;
-  std::printf("group commit over per record at %d writers: %.2fx\n",
-              max_writers, speedup);
-
-  if (!out_path.empty()) {
-    std::string rows;
-    for (const DurableScalingReport& report : reports) {
-      if (!rows.empty()) rows += ",";
-      rows += DurableScalingRowJson(report);
-    }
-    char summary[160];
-    std::snprintf(summary, sizeof(summary),
-                  "{\"group_over_per_record_at_%d_writers\":%.2f}",
-                  max_writers, speedup);
-    std::string json = "{\"benchmark\":\"durable_scaling\",";
-    json += "\"side\":" + std::to_string(side);
-    json += ",\"run_ms\":" + std::to_string(run_ms);
-    json += ",\"batch\":" + std::to_string(batch);
-    json += ",\"shards\":" + std::to_string(shards);
-    json += ",\"barrier\":\"" + barrier_name + "\"";
-    json += ",\"seed\":" + std::to_string(seed);
-    json += ",\"summary\":";
-    json += summary;
-    json += ",\"runs\":[" + rows + "]}";
-    RPS_RETURN_IF_ERROR(WriteTextFile(out_path, json + "\n"));
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  if (own_root) std::filesystem::remove_all(root, ec);
   return Status::Ok();
 }
 
@@ -1259,15 +942,9 @@ void PrintUsage() {
       "          [--slow-query-us N] [--event-log events.jsonl]\n"
       "  serve   [--port N --port-file f --duration-s N --shape AxB]\n"
       "          [--readers N --checkpoint-every N --seed N --dir d]\n"
-      "          [--shards N (0=locked facade)]\n"
+      "          [--shards N (<1 = one per pool thread)]\n"
       "          [--durable off|group|per_record] [--slow-query-us N]\n"
       "          [--event-log events.jsonl]\n"
-      "  shardbench [--shards 0,1,2,4,8 --side N --readers N]\n"
-      "          [--phase-ms N --writer-batch N --writer-rate N]\n"
-      "          [--hot-rows N --preload N --seed N --out bench.json]\n"
-      "  durablebench [--writers 1,2,4,8 --side N --run-ms N]\n"
-      "          [--batch N --shards N --barrier sync|flush --seed N]\n"
-      "          [--dir scratch/ --out bench.json]\n"
       "  metrics [--shape AxB --queries N --updates N --seed N]\n"
       "          [--format text|json|both] [--json out.json]\n"
       "  metrics --watch N --port N [--host H --rounds N]\n"
@@ -1372,10 +1049,6 @@ int RunCli(const std::vector<std::string>& args) {
     status = CmdBench(parsed.value());
   } else if (command == "serve") {
     status = CmdServe(parsed.value());
-  } else if (command == "shardbench") {
-    status = CmdShardBench(parsed.value());
-  } else if (command == "durablebench") {
-    status = CmdDurableBench(parsed.value());
   } else if (command == "metrics") {
     status = CmdMetrics(parsed.value());
   } else if (command == "torture") {
