@@ -8,26 +8,16 @@
 #include <gtest/gtest.h>
 
 #include "core/snapshot.h"
+#include "testing/temp_dir.h"
 #include "workload/data_gen.h"
 #include "workload/query_gen.h"
 
 namespace rps {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-class SnapshotTest : public testing::Test {
+class SnapshotTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    for (const auto& path : cleanup_) std::filesystem::remove(path);
-  }
-  std::string Track(const std::string& path) {
-    cleanup_.push_back(path);
-    return path;
-  }
-  std::vector<std::string> cleanup_;
+  testing::ScopedTempDir tmp_{"rps_snapshot"};
 };
 
 TEST_F(SnapshotTest, RoundTripPreservesEverything) {
@@ -36,7 +26,7 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   RelativePrefixSum<int64_t> original(cube, CellIndex{4, 3});
   original.Add(CellIndex{5, 5}, 17);  // make it diverge from the build
 
-  const std::string path = Track(TempPath("rps_snapshot_roundtrip.bin"));
+  const std::string path = tmp_.file("roundtrip.bin");
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
 
   auto loaded = LoadSnapshot<int64_t>(path);
@@ -67,7 +57,7 @@ TEST_F(SnapshotTest, DoubleValuedRoundTrip) {
     cube.at_linear(i) = rng.UniformDouble() * 100;
   }
   RelativePrefixSum<double> original(cube);
-  const std::string path = Track(TempPath("rps_snapshot_double.bin"));
+  const std::string path = tmp_.file("double.bin");
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
   auto loaded = LoadSnapshot<double>(path);
   ASSERT_TRUE(loaded.ok());
@@ -77,7 +67,7 @@ TEST_F(SnapshotTest, DoubleValuedRoundTrip) {
 TEST_F(SnapshotTest, ValueSizeMismatchRejected) {
   const NdArray<int64_t> cube = UniformCube(Shape{6, 6}, 0, 9, 1);
   RelativePrefixSum<int64_t> original(cube);
-  const std::string path = Track(TempPath("rps_snapshot_size.bin"));
+  const std::string path = tmp_.file("size.bin");
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
   auto loaded = LoadSnapshot<int32_t>(path);
   EXPECT_FALSE(loaded.ok());
@@ -87,7 +77,7 @@ TEST_F(SnapshotTest, ValueSizeMismatchRejected) {
 TEST_F(SnapshotTest, BitFlipDetectedByChecksum) {
   const NdArray<int64_t> cube = UniformCube(Shape{10, 10}, 0, 50, 2);
   RelativePrefixSum<int64_t> original(cube);
-  const std::string path = Track(TempPath("rps_snapshot_flip.bin"));
+  const std::string path = tmp_.file("flip.bin");
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
 
   // Flip one byte in the middle of the payload.
@@ -107,7 +97,7 @@ TEST_F(SnapshotTest, BitFlipDetectedByChecksum) {
 TEST_F(SnapshotTest, TruncationDetected) {
   const NdArray<int64_t> cube = UniformCube(Shape{10, 10}, 0, 50, 4);
   RelativePrefixSum<int64_t> original(cube);
-  const std::string path = Track(TempPath("rps_snapshot_trunc.bin"));
+  const std::string path = tmp_.file("trunc.bin");
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) / 2);
@@ -117,7 +107,7 @@ TEST_F(SnapshotTest, TruncationDetected) {
 }
 
 TEST_F(SnapshotTest, GarbageFileRejected) {
-  const std::string path = Track(TempPath("rps_snapshot_garbage.bin"));
+  const std::string path = tmp_.file("garbage.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("this is not a snapshot at all, sorry", f);
@@ -127,7 +117,7 @@ TEST_F(SnapshotTest, GarbageFileRejected) {
 }
 
 TEST_F(SnapshotTest, MissingFileRejected) {
-  auto loaded = LoadSnapshot<int64_t>(TempPath("rps_no_such_snapshot.bin"));
+  auto loaded = LoadSnapshot<int64_t>(tmp_.file("no_such_snapshot.bin"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }

@@ -1,24 +1,21 @@
 #include "cube/cube_io.h"
 
 #include <cstdint>
-#include <filesystem>
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "testing/temp_dir.h"
 #include "util/random.h"
 
 namespace rps {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-class CubeIoTest : public testing::Test {
+class CubeIoTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = TempPath("rps_cube_io_test.bin");
+  testing::ScopedTempDir tmp_{"rps_cube_io"};
+  const std::string path_ = tmp_.file("cube.bin");
 };
 
 TEST_F(CubeIoTest, RoundTripInt64) {
@@ -70,7 +67,7 @@ TEST_F(CubeIoTest, NotACubeFileRejected) {
 }
 
 TEST_F(CubeIoTest, MissingFileRejected) {
-  EXPECT_EQ(LoadCube<int64_t>(TempPath("rps_cube_io_missing.bin"))
+  EXPECT_EQ(LoadCube<int64_t>(tmp_.file("missing.bin"))
                 .status()
                 .code(),
             StatusCode::kIoError);

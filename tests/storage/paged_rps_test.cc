@@ -4,13 +4,14 @@
 // handling, and a real-file run.
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/cost_model.h"
 #include "storage/paged_rps.h"
+#include "testing/temp_dir.h"
 #include "util/random.h"
 
 namespace rps {
@@ -199,8 +200,8 @@ TEST(PagedRpsTest, ReadFaultPropagates) {
 TEST(PagedRpsTest, WorksOnRealFile) {
   const Shape shape{16, 16};
   NdArray<int64_t> cube = RandomCube(shape, 6);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rps_paged.db").string();
+  const testing::ScopedTempDir tmp("rps_paged");
+  const std::string path = tmp.file("paged.db");
   auto pager = std::move(FilePager::Create(path, 512)).value();
   PagedRps<int64_t>::Options options;
   options.box_size = CellIndex{4, 4};
@@ -219,8 +220,6 @@ TEST(PagedRpsTest, WorksOnRealFile) {
   EXPECT_EQ(paged->RangeSum(Box::All(shape)).value(),
             cube.SumBox(Box::All(shape)));
   ASSERT_TRUE(paged->Flush().ok());
-  paged.reset();
-  std::filesystem::remove(path);
 }
 
 }  // namespace

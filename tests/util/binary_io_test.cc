@@ -1,20 +1,17 @@
 #include "util/binary_io.h"
 
 #include <cstdint>
-#include <filesystem>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "testing/temp_dir.h"
 #include "util/crc32.h"
 
 namespace rps {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(Crc32Test, KnownVectors) {
   // Standard test vector: CRC32("123456789") = 0xCBF43926.
@@ -32,7 +29,8 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
 }
 
 TEST(BinaryIoTest, ScalarAndVectorRoundTrip) {
-  const std::string path = TempPath("rps_binary_io_roundtrip.bin");
+  const testing::ScopedTempDir tmp("rps_binary_io");
+  const std::string path = tmp.file("roundtrip.bin");
   {
     auto writer = BinaryWriter::Create(path);
     ASSERT_TRUE(writer.ok());
@@ -52,11 +50,11 @@ TEST(BinaryIoTest, ScalarAndVectorRoundTrip) {
     EXPECT_EQ(vec.value(), (std::vector<int64_t>{10, 20, 30}));
     EXPECT_TRUE(reader.value().VerifyChecksum().ok());
   }
-  std::filesystem::remove(path);
 }
 
 TEST(BinaryIoTest, ChecksumCatchesModification) {
-  const std::string path = TempPath("rps_binary_io_tamper.bin");
+  const testing::ScopedTempDir tmp("rps_binary_io");
+  const std::string path = tmp.file("tamper.bin");
   {
     auto writer = std::move(BinaryWriter::Create(path)).value();
     ASSERT_TRUE(writer.WriteScalar<int64_t>(42).ok());
@@ -71,11 +69,11 @@ TEST(BinaryIoTest, ChecksumCatchesModification) {
   auto reader = std::move(BinaryReader::Open(path)).value();
   ASSERT_TRUE(reader.ReadScalar<int64_t>().ok());  // bytes still readable
   EXPECT_EQ(reader.VerifyChecksum().code(), StatusCode::kIoError);
-  std::filesystem::remove(path);
 }
 
 TEST(BinaryIoTest, VectorLengthBoundEnforced) {
-  const std::string path = TempPath("rps_binary_io_bound.bin");
+  const testing::ScopedTempDir tmp("rps_binary_io");
+  const std::string path = tmp.file("bound.bin");
   {
     auto writer = std::move(BinaryWriter::Create(path)).value();
     ASSERT_TRUE(writer.WriteVector<int64_t>({1, 2, 3, 4, 5}).ok());
@@ -85,11 +83,11 @@ TEST(BinaryIoTest, VectorLengthBoundEnforced) {
   const auto vec = reader.ReadVector<int64_t>(3);  // cap below actual
   EXPECT_FALSE(vec.ok());
   EXPECT_EQ(vec.status().code(), StatusCode::kIoError);
-  std::filesystem::remove(path);
 }
 
 TEST(BinaryIoTest, ShortReadReported) {
-  const std::string path = TempPath("rps_binary_io_short.bin");
+  const testing::ScopedTempDir tmp("rps_binary_io");
+  const std::string path = tmp.file("short.bin");
   {
     auto writer = std::move(BinaryWriter::Create(path)).value();
     ASSERT_TRUE(writer.WriteScalar<int32_t>(1).ok());
@@ -100,11 +98,11 @@ TEST(BinaryIoTest, ShortReadReported) {
   ASSERT_TRUE(reader.ReadScalar<uint32_t>().ok());  // consumes checksum
   EXPECT_EQ(reader.ReadScalar<int64_t>().status().code(),
             StatusCode::kIoError);
-  std::filesystem::remove(path);
 }
 
 TEST(BinaryIoTest, MissingFileReported) {
-  EXPECT_EQ(BinaryReader::Open(TempPath("rps_does_not_exist.bin"))
+  const testing::ScopedTempDir tmp("rps_binary_io");
+  EXPECT_EQ(BinaryReader::Open(tmp.file("does_not_exist.bin"))
                 .status()
                 .code(),
             StatusCode::kIoError);

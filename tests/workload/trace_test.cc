@@ -1,20 +1,17 @@
 #include "workload/trace.h"
 
-#include <filesystem>
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/naive_method.h"
 #include "core/relative_prefix_sum.h"
+#include "testing/temp_dir.h"
 #include "workload/data_gen.h"
 
 namespace rps {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(TraceTest, RecordedTraceHasRequestedMix) {
   const Trace trace = RecordMixedTrace(Shape{12, 12}, 30, 20, 1);
@@ -51,7 +48,8 @@ TEST(TraceTest, RecordingIsDeterministic) {
 }
 
 TEST(TraceTest, SaveLoadRoundTrip) {
-  const std::string path = TempPath("rps_trace_roundtrip.bin");
+  const testing::ScopedTempDir tmp("rps_trace");
+  const std::string path = tmp.file("roundtrip.bin");
   const Trace original = RecordMixedTrace(Shape{8, 6, 4}, 25, 25, 3);
   ASSERT_TRUE(SaveTrace(original, path).ok());
   auto loaded = LoadTrace(path);
@@ -68,7 +66,6 @@ TEST(TraceTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().query_checksum, r2.value().query_checksum);
   EXPECT_EQ(r1.value().update_cells, r2.value().update_cells);
-  std::filesystem::remove(path);
 }
 
 TEST(TraceTest, ReplayAcrossMethodsGivesIdenticalChecksums) {
@@ -97,7 +94,8 @@ TEST(TraceTest, ShapeMismatchRejected) {
 }
 
 TEST(TraceTest, CorruptFileRejected) {
-  const std::string path = TempPath("rps_trace_corrupt.bin");
+  const testing::ScopedTempDir tmp("rps_trace");
+  const std::string path = tmp.file("corrupt.bin");
   const Trace trace = RecordMixedTrace(Shape{8, 8}, 10, 10, 2);
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -106,17 +104,16 @@ TEST(TraceTest, CorruptFileRejected) {
   std::fputc(0x7E, f);
   std::fclose(f);
   EXPECT_FALSE(LoadTrace(path).ok());
-  std::filesystem::remove(path);
 }
 
 TEST(TraceTest, GarbageAndMissingFiles) {
-  const std::string path = TempPath("rps_trace_garbage.bin");
+  const testing::ScopedTempDir tmp("rps_trace");
+  const std::string path = tmp.file("garbage.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("not a trace", f);
   std::fclose(f);
   EXPECT_FALSE(LoadTrace(path).ok());
-  EXPECT_FALSE(LoadTrace(TempPath("rps_trace_missing.bin")).ok());
-  std::filesystem::remove(path);
+  EXPECT_FALSE(LoadTrace(tmp.file("missing.bin")).ok());
 }
 
 }  // namespace
