@@ -31,7 +31,7 @@ trap cleanup EXIT
 
 port_file="$work/port"
 "$tool" serve --shape 32x32 --port 0 --port-file "$port_file" \
-  --duration-s 8 --readers 2 --slow-query-us 1 \
+  --duration-s 2 --readers 1 --slow-query-us 1 \
   --event-log "$work/events.jsonl" --durable group --dir "$work/durable" \
   > "$work/serve.log" 2>&1 &
 serve_pid=$!

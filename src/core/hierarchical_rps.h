@@ -78,8 +78,8 @@ class HierarchicalRps final : public QueryMethod<T> {
   const CellIndex& box_size() const { return box_size_; }
   const Shape& grid_shape() const { return grid_shape_; }
 
-  /// Component access for snapshots (core/hierarchical_snapshot.h)
-  /// and tests.
+  /// Component access for tests and invariant audits; FromParts is
+  /// the inverse.
   const NdArray<T>& rp_array() const { return rp_; }
   const RelativePrefixSum<T>& coarse() const { return *coarse_; }
   /// Inner structure for dimension-subset `mask` (1 <= mask <
@@ -339,7 +339,7 @@ class HierarchicalRps final : public QueryMethod<T> {
 
   /// Deep copy: the flat members copy directly and the inner
   /// structures reassemble through FromParts, which revalidates the
-  /// geometry the same way the snapshot loader does.
+  /// geometry.
   std::unique_ptr<QueryMethod<T>> Clone() const override {
     std::vector<std::unique_ptr<RelativePrefixSum<T>>> faces;
     faces.resize(faces_.size());

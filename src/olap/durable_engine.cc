@@ -84,7 +84,7 @@ Result<std::unique_ptr<DurableOlapEngine>> DurableOlapEngine::Open(
   std::unique_ptr<DurableOlapEngine> engine(
       new DurableOlapEngine(std::move(schema), method, shards, directory,
                             options, pool));
-  const Shape shape = engine->schema_.CubeShape();
+  const Shape& shape = engine->schema_.CubeShape();
   const int dims = shape.dims();
   RPS_ASSIGN_OR_RETURN(
       const int64_t generation,
@@ -301,7 +301,7 @@ Status DurableOlapEngine::InsertBatch(std::span<const OlapRecord> records) {
 }
 
 IngestReport DurableOlapEngine::Load(const std::vector<OlapRecord>& records) {
-  const Shape shape = schema_.CubeShape();
+  const Shape& shape = schema_.CubeShape();
   IngestReport report;
   NdArray<double> sums(shape, 0.0);
   NdArray<int64_t> counts(shape, int64_t{0});
@@ -323,7 +323,7 @@ IngestReport DurableOlapEngine::Load(const std::vector<OlapRecord>& records) {
 
 Status DurableOlapEngine::LoadCells(const NdArray<double>& sums,
                                     const NdArray<int64_t>& counts) {
-  const Shape shape = schema_.CubeShape();
+  const Shape& shape = schema_.CubeShape();
   if (!(sums.shape() == shape) || !(counts.shape() == shape)) {
     return Status::InvalidArgument("LoadCells shape mismatch: want " +
                                    shape.ToString());

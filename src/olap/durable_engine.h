@@ -17,8 +17,9 @@
 // per-record pays one barrier per accepted record under a lock --
 // the baseline -- while group commit funnels concurrent writers
 // through a GroupCommitWal: one barrier per batch of concurrent
-// writers, writers block until their record is durable, and
-// `rps_tool bench --durable` quantifies the difference.
+// writers, and writers block until their record is durable.
+// `perfbench/run.py --workload durable` and `bench/bench_durable`
+// measure the difference.
 //
 // Checkpoints are pipelined exactly like DurableRps's: writers are
 // quiesced only while the log rotates to the next generation and the

@@ -9,6 +9,10 @@ Schema::Schema(std::string measure_name, std::vector<Dimension> dimensions)
       dimensions_(std::move(dimensions)) {
   RPS_CHECK_MSG(!dimensions_.empty(), "schema needs at least one dimension");
   RPS_CHECK(static_cast<int>(dimensions_.size()) <= kMaxDims);
+  std::vector<int64_t> extents;
+  extents.reserve(dimensions_.size());
+  for (const Dimension& dim : dimensions_) extents.push_back(dim.size());
+  shape_ = Shape::FromExtents(extents);
 }
 
 Result<int> Schema::DimensionIndex(const std::string& name) const {
@@ -16,13 +20,6 @@ Result<int> Schema::DimensionIndex(const std::string& name) const {
     if (dimensions_[static_cast<size_t>(j)].name() == name) return j;
   }
   return Status::NotFound("no dimension named '" + name + "'");
-}
-
-Shape Schema::CubeShape() const {
-  std::vector<int64_t> extents;
-  extents.reserve(dimensions_.size());
-  for (const Dimension& dim : dimensions_) extents.push_back(dim.size());
-  return Shape::FromExtents(extents);
 }
 
 Result<CellIndex> Schema::CellOf(const std::vector<FieldValue>& values) const {

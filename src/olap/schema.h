@@ -32,8 +32,9 @@ class Schema {
   /// Index of the dimension named `name`, or error.
   Result<int> DimensionIndex(const std::string& name) const;
 
-  /// Shape of the cube this schema describes.
-  Shape CubeShape() const;
+  /// Shape of the cube this schema describes, built once by the
+  /// constructor.
+  const Shape& CubeShape() const { return shape_; }
 
   /// Maps one record's dimension values (in schema order) to a cell.
   /// Fails if a value is of the wrong kind or out of range.
@@ -42,6 +43,7 @@ class Schema {
  private:
   std::string measure_name_;
   std::vector<Dimension> dimensions_;
+  Shape shape_;
 };
 
 }  // namespace rps

@@ -38,11 +38,10 @@ ShardedOlapEngine::ShardedOlapEngine(Schema schema, EngineMethod method,
                                      int shards, ThreadPool* pool,
                                      EpochDomain* domain)
     : schema_(std::move(schema)),
-      shape_(schema_.CubeShape()),
       method_(method),
       pool_(pool),
       domain_(domain) {
-  const int64_t rows = shape_.extent(0);
+  const int64_t rows = schema_.CubeShape().extent(0);
   if (shards < 1) shards = ThreadPool::DefaultThreads();
   const int64_t count = std::clamp<int64_t>(shards, 1, rows);
   starts_.reserve(static_cast<size_t>(count) + 1);
@@ -113,11 +112,12 @@ int ShardedOlapEngine::ShardOf(int64_t row0) const {
 }
 
 Shape ShardedOlapEngine::ShardShape(int s) const {
+  const Shape& shape = schema_.CubeShape();
   std::vector<int64_t> extents;
-  extents.reserve(static_cast<size_t>(shape_.dims()));
+  extents.reserve(static_cast<size_t>(shape.dims()));
   extents.push_back(starts_[static_cast<size_t>(s) + 1] -
                     starts_[static_cast<size_t>(s)]);
-  for (int j = 1; j < shape_.dims(); ++j) extents.push_back(shape_.extent(j));
+  for (int j = 1; j < shape.dims(); ++j) extents.push_back(shape.extent(j));
   return Shape::FromExtents(extents);
 }
 
@@ -161,7 +161,7 @@ Result<Box> ShardedOlapEngine::ReadView::Resolve(
 
 template <typename T>
 Result<T> ShardedOlapEngine::ReadView::Total(const Box& range) const {
-  if (!range.Within(engine_.shape_)) return OutsideCube();
+  if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
   const int first = engine_.ShardOf(range.lo()[0]);
   const int last = engine_.ShardOf(range.hi()[0]);
   T total = 0;
@@ -176,7 +176,7 @@ template <typename T>
 Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
     std::span<const Box> ranges) const {
   for (const Box& range : ranges) {
-    if (!range.Within(engine_.shape_)) return OutsideCube();
+    if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
   }
   std::vector<T> out(ranges.size(), T{0});
   if (engine_.shards() == 1) {
@@ -293,14 +293,15 @@ IngestReport ShardedOlapEngine::Load(const std::vector<OlapRecord>& records) {
 
 Status ShardedOlapEngine::LoadCells(const NdArray<double>& cell_sums,
                                     const NdArray<int64_t>& cell_counts) {
-  if (!(cell_sums.shape() == shape_) || !(cell_counts.shape() == shape_)) {
+  const Shape& shape = schema_.CubeShape();
+  if (!(cell_sums.shape() == shape) || !(cell_counts.shape() == shape)) {
     return Status::InvalidArgument("LoadCells shape mismatch: want " +
-                                   shape_.ToString());
+                                   shape.ToString());
   }
   // Dimension 0 is outermost in row-major order, so each shard's
   // slice is one contiguous run of the dense cube.
   DenseShards dense = EmptyShards();
-  const int64_t row_cells = shape_.num_cells() / shape_.extent(0);
+  const int64_t row_cells = shape.num_cells() / shape.extent(0);
   for (size_t s = 0; s < dense.sums.size(); ++s) {
     const int64_t offset = starts_[s] * row_cells;
     std::copy_n(cell_sums.data() + offset, dense.sums[s].num_cells(),
@@ -447,7 +448,7 @@ std::string ShardedOlapEngine::HealthJson() const {
   out += ",\"generation\":";
   out += std::to_string(generation());
   out += ",\"cube_cells\":";
-  out += std::to_string(shape_.num_cells());
+  out += std::to_string(schema_.CubeShape().num_cells());
   out += ",\"update_cells\":";
   out += std::to_string(cumulative_update_cells());
   out += ",\"epoch\":";

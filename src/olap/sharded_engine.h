@@ -208,8 +208,6 @@ class ShardedOlapEngine final : public OlapServingEngine {
   void Publish(EngineVersion* next) REQUIRES(writer_mu_);
 
   const Schema schema_;
-  /// schema_.CubeShape(), computed once: building it allocates.
-  const Shape shape_;
   const EngineMethod method_;
   ThreadPool* const pool_;
   EpochDomain* const domain_;

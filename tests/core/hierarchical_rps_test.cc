@@ -179,5 +179,27 @@ TEST(HierarchicalRpsTest, ZeroCubeAndSingleCell) {
   EXPECT_EQ(tiny.RangeSum(Box::All(Shape{1})), 9);
 }
 
+TEST(HierarchicalFromPartsTest, RejectsMismatchedComponents) {
+  const Shape shape{8, 8};
+  const NdArray<int64_t> cube = UniformCube(shape, 0, 9, 8);
+  const HierarchicalRps<int64_t> donor(cube, CellIndex{3, 3});
+  // Wrong RP shape.
+  {
+    auto bad = HierarchicalRps<int64_t>::FromParts(
+        shape, CellIndex{3, 3}, NdArray<int64_t>(Shape{4, 4}),
+        RelativePrefixSum<int64_t>(NdArray<int64_t>(donor.grid_shape(), 0)),
+        {});
+    EXPECT_FALSE(bad.ok());
+  }
+  // Wrong face count.
+  {
+    auto bad = HierarchicalRps<int64_t>::FromParts(
+        shape, CellIndex{3, 3}, NdArray<int64_t>(shape),
+        RelativePrefixSum<int64_t>(NdArray<int64_t>(donor.grid_shape(), 0)),
+        {});
+    EXPECT_FALSE(bad.ok());
+  }
+}
+
 }  // namespace
 }  // namespace rps

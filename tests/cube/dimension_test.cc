@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cube/data_cube.h"
-
 namespace rps {
 namespace {
 
@@ -59,32 +57,6 @@ TEST(DimensionTest, KindMismatchIsFailedPrecondition) {
 
 TEST(DimensionDeathTest, DuplicateLabelsRejected) {
   EXPECT_DEATH(Dimension::Categorical("r", {"a", "a"}), "unique");
-}
-
-TEST(DataCubeTest, ShapeFollowsDimensions) {
-  DataCube<int64_t> cube(
-      {Dimension::Integer("age", 0, 100), Dimension::Integer("day", 0, 365)});
-  EXPECT_EQ(cube.shape(), (Shape{100, 365}));
-  EXPECT_EQ(cube.dims(), 2);
-  EXPECT_EQ(cube.DimensionIndex("age"), 0);
-  EXPECT_EQ(cube.DimensionIndex("day"), 1);
-  EXPECT_EQ(cube.DimensionIndex("region"), -1);
-}
-
-TEST(DataCubeTest, CellAccess) {
-  DataCube<int64_t> cube(
-      {Dimension::Integer("x", 0, 4), Dimension::Integer("y", 0, 4)});
-  cube.at(CellIndex{1, 2}) = 42;
-  EXPECT_EQ(cube.at(CellIndex{1, 2}), 42);
-  EXPECT_EQ(cube.array().SumBox(Box::All(cube.shape())), 42);
-}
-
-TEST(DataCubeTest, WrapExistingArray) {
-  NdArray<int64_t> array(Shape{2, 3}, 5);
-  DataCube<int64_t> cube(
-      {Dimension::Integer("a", 0, 2), Dimension::Integer("b", 0, 3)},
-      std::move(array));
-  EXPECT_EQ(cube.array().SumBox(Box::All(cube.shape())), 30);
 }
 
 }  // namespace
