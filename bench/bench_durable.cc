@@ -3,11 +3,12 @@
 // in the perf-smoke CI leg; perfbench's `durable` workload measures
 // the same path end to end).
 //
-// Every Insert is durable before it returns in both modes; the modes
-// differ only in how many barriers N concurrent writers pay. With
-// Threads(t), group commit should hold throughput roughly flat per
-// process while per-record throughput stays capped by one barrier per
-// record under the log lock.
+// Every Insert is durable before it returns in both modes, and both
+// hand their records to the same commit thread; the modes differ only
+// in how many barriers N concurrent writers pay. With Threads(t),
+// group commit should hold throughput roughly flat per process while
+// per-record mode -- groups of one record -- stays capped by one
+// barrier per record.
 
 #include <benchmark/benchmark.h>
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/crc32.h"
 
 namespace rps {
 
@@ -90,6 +91,23 @@ std::string Dimension::SlotLabel(int64_t index) const {
       return labels_[static_cast<size_t>(index)];
   }
   return "?";
+}
+
+uint32_t Dimension::Fingerprint() const {
+  Crc32 crc;
+  const auto text = [&crc](const std::string& value) {
+    const uint64_t length = value.size();
+    crc.Update(&length, sizeof(length));
+    crc.Update(value.data(), value.size());
+  };
+  text(name_);
+  crc.Update(&kind_, sizeof(kind_));
+  crc.Update(&size_, sizeof(size_));
+  crc.Update(&origin_, sizeof(origin_));
+  crc.Update(&lo_, sizeof(lo_));
+  crc.Update(&width_, sizeof(width_));
+  for (const std::string& label : labels_) text(label);
+  return crc.value();
 }
 
 }  // namespace rps

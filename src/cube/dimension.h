@@ -52,6 +52,10 @@ class Dimension {
   /// "[10.0, 20.0)", or "West".
   std::string SlotLabel(int64_t index) const;
 
+  /// CRC-32 of everything that maps values to indices: name, kind,
+  /// size, origin, bin edges and labels.
+  uint32_t Fingerprint() const;
+
   bool is_integer() const { return kind_ == Kind::kInteger; }
   bool is_binned() const { return kind_ == Kind::kBinned; }
   bool is_categorical() const { return kind_ == Kind::kCategorical; }

@@ -151,7 +151,7 @@ class Shape {
   std::string ToString() const;
 
  private:
-  std::array<int64_t, kMaxDims> extent_;
+  std::array<int64_t, kMaxDims> extent_{};
   int dims_;
 };
 

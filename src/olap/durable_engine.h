@@ -1,32 +1,30 @@
 // Durable ingest for the serving engine.
 //
-// Wraps a ShardedOlapEngine with a write-ahead log so that accepted
-// records survive a process death. The on-disk layout reuses the
-// storage layer's generation discipline (storage/durable_rps.h):
-//   CURRENT      -- manifest naming the live generation N
-//   base-N.log   -- dense cube contents at checkpoint N, one WAL
-//                   record per nonzero cell ({sum, count} payload)
-//   wal-N.log    -- per-record {measure, +1} deltas since base N
-// The base file reuses the WAL record format (crc | coords | payload)
-// rather than a separate snapshot codec: recovery is a single replay
-// loop either way, and cells -- not schema field values -- are the
-// natural replay unit (field values cannot be recovered from cells,
-// which is why OlapServingEngine::LoadCells exists).
+// Wraps a ShardedOlapEngine with a GenerationStore
+// (storage/generation_store.h) so that accepted records survive a
+// process death. The store's files, shared with DurableRps:
+//   CURRENT          -- live generation N and the schema fingerprint
+//   snapshot-N.bin   -- the image: every nonzero cell of one published
+//                       version, one WAL record per cell ({sum, count})
+//   wal-N.log        -- per-record {measure, +1} deltas since image N
+// The image reuses the WAL record format (crc | coords | payload)
+// rather than a snapshot codec: recovery is one replay loop either
+// way, and cells -- not schema field values -- are the natural replay
+// unit (field values cannot be recovered from cells, which is why
+// OlapServingEngine::LoadCells exists).
 //
-// Two durability modes (DurableOptions, shared with DurableRps):
-// per-record pays one barrier per accepted record under a lock --
-// the baseline -- while group commit funnels concurrent writers
-// through a GroupCommitWal: one barrier per batch of concurrent
-// writers, and writers block until their record is durable.
-// `perfbench/run.py --workload durable` and `bench/bench_durable`
-// measure the difference.
+// Per-record mode pays one barrier per accepted record -- the
+// baseline -- while group commit coalesces concurrent writers into one
+// barrier per group; writers block until their record is durable
+// either way. `perfbench/run.py --workload durable` and
+// `bench/bench_durable` measure the difference.
 //
-// Checkpoints are pipelined exactly like DurableRps's: writers are
-// quiesced only while the log rotates to the next generation and the
-// dense mirrors are copied; the base write, fsync and manifest commit
-// run with ingest flowing into the rotated log. Crash recovery folds
-// orphan logs above the live generation forward into a fresh
-// checkpoint.
+// A checkpoint quiesces writers only while the log rotates and the
+// engine's published version is frozen (S shard references, no cell
+// copy); the cells are read back with QueryMethod::ValueAt and written
+// with ingest flowing into the rotated log. There is no dense mirror
+// of the cube. The manifest records a fingerprint of the schema's
+// geometry, and Open refuses a schema that does not match it.
 //
 // Bulk Load() replaces cube contents in memory immediately and then
 // checkpoints; the loaded records are durable once that checkpoint
@@ -38,27 +36,20 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cube/nd_array.h"
 #include "olap/sharded_engine.h"
-#include "storage/durable_rps.h"
-#include "storage/group_commit.h"
-#include "storage/wal.h"
-#include "util/annotations.h"
-#include "util/mutex.h"
-#include "util/retry.h"
+#include "storage/generation_store.h"
 
 namespace rps {
 
 class DurableOlapEngine final : public OlapServingEngine {
  public:
   /// One logged cell update: the measure delta and record-count
-  /// delta. Also the base-file payload, where the fields hold the
-  /// cell's absolute contents instead.
+  /// delta. Also the image payload, where the fields hold the cell's
+  /// absolute contents instead.
   struct CellDelta {
     double sum = 0;
     int64_t count = 0;
@@ -66,18 +57,18 @@ class DurableOlapEngine final : public OlapServingEngine {
   static_assert(sizeof(CellDelta) == 16);
 
   /// Creates a fresh durable engine over an empty cube in `directory`
-  /// (which must exist): commits generation 1 (empty base + empty
+  /// (which must exist): commits generation 1 (empty image + empty
   /// log). `shards` sizes the inner engine as in MakeServingEngine.
   static Result<std::unique_ptr<DurableOlapEngine>> Create(
       Schema schema, EngineMethod method, int shards,
       const std::string& directory, const DurableOptions& options = {},
       ThreadPool* pool = &ThreadPool::Global());
 
-  /// Restores from `directory`. The schema/method/shards configuration
-  /// is not persisted -- the caller must pass the same schema the
-  /// directory was written under (record geometry is validated).
-  /// `replayed_records` (optional out) reports how many log records
-  /// were folded in on top of the base.
+  /// Restores from `directory`. The schema must describe the same
+  /// geometry the directory was written under (InvalidArgument
+  /// otherwise); method and shard count are free, since the image
+  /// holds cells. `replayed_records` (optional out) reports how many
+  /// log records were folded in on top of the image.
   static Result<std::unique_ptr<DurableOlapEngine>> Open(
       Schema schema, EngineMethod method, int shards,
       const std::string& directory, const DurableOptions& options = {},
@@ -125,90 +116,31 @@ class DurableOlapEngine final : public OlapServingEngine {
   /// {"durable": {...}, "engine": <inner HealthJson>}.
   std::string HealthJson() const override;
 
-  int64_t generation() const {
-    MutexLock lock(&state_mu_);
-    return generation_;
-  }
-  int64_t wal_generation() const {
-    MutexLock lock(&state_mu_);
-    return wal_generation_;
-  }
-  bool checkpoint_in_flight() const {
-    MutexLock lock(&state_mu_);
-    return checkpoint_in_flight_;
-  }
-  bool group_commit() const { return group_wal_ != nullptr; }
-  int64_t wal_records() const;
+  int64_t generation() const { return store_->generation(); }
+  int64_t wal_generation() const { return store_->wal_generation(); }
+  bool checkpoint_in_flight() const { return store_->checkpoint_in_flight(); }
+  bool group_commit() const { return store_->group_commit(); }
+  int64_t wal_records() const { return store_->wal_records(); }
 
-  void set_retry_policy(const RetryPolicy& policy);
+  void set_retry_policy(const RetryPolicy& policy) {
+    store_->set_retry_policy(policy);
+  }
   /// Test hook: runs between a checkpoint's rotation (writers live
-  /// again) and its base write (see DurableRps's equivalent).
+  /// again) and its image write.
   void set_checkpoint_write_hook(std::function<void()> hook) {
-    checkpoint_write_hook_ = std::move(hook);
+    store_->set_checkpoint_write_hook(std::move(hook));
   }
 
  private:
   DurableOlapEngine(Schema schema, EngineMethod method, int shards,
-                    std::string directory, const DurableOptions& options,
                     ThreadPool* pool);
 
-  static std::string BasePathFor(const std::string& directory,
-                                 int64_t generation);
-  static std::string WalPathFor(const std::string& directory,
-                                int64_t generation);
-
-  /// Logs `count` parallel cells/deltas with the mode's front end
-  /// (one group barrier, or per-record barriers under the log lock).
-  Status AppendLogged(const CellIndex* cells, const CellDelta* deltas,
-                      int64_t count);
-  /// Writes `directory/base-<generation>.log` from dense contents:
-  /// every nonzero cell as one record, one durable batch.
-  Status WriteBase(const NdArray<double>& sums,
-                   const NdArray<int64_t>& counts, int64_t generation);
-
-  void BeginApply();
-  void EndApply();
-  /// Writer-quiesced rotation to generation `next`; on success the
-  /// active log is wal-(next). Called with gate_mu_ held, writers
-  /// drained.
-  Status RotateTo(int64_t next) REQUIRES(gate_mu_);
-  void RemoveStaleGenerations();
+  /// Freezes the published version into the writer of its image.
+  GenerationStore::ImageWriter FreezeImage() const;
 
   const Schema schema_;
-  const DurableOptions options_;
-  const std::string directory_;
   ShardedOlapEngine inner_;
-
-  /// Apply gate (see DurableRps::SyncState): Adds hold it across
-  /// log-append -> memory-apply; rotation drains it.
-  Mutex gate_mu_{"DurableOlapEngine.gate"};
-  CondVar gate_cv_;
-  int64_t active_appends_ GUARDED_BY(gate_mu_) = 0;
-  bool rotating_ GUARDED_BY(gate_mu_) = false;
-
-  /// Serializes whole Checkpoint() calls.
-  Mutex checkpoint_mu_{"DurableOlapEngine.checkpoint"};  // check_guards: standalone
-
-  mutable Mutex state_mu_{"DurableOlapEngine.state"};
-  int64_t generation_ GUARDED_BY(state_mu_) = 1;
-  int64_t wal_generation_ GUARDED_BY(state_mu_) = 1;
-  bool checkpoint_in_flight_ GUARDED_BY(state_mu_) = false;
-
-  /// Dense absolute cube contents, mirrored on every accepted write;
-  /// what checkpoints persist. (The inner engine cannot be read back
-  /// cell-by-cell without range queries, so the mirror is the
-  /// authoritative checkpoint source.)
-  mutable Mutex mirror_mu_{"DurableOlapEngine.mirror"};
-  NdArray<double> mirror_sums_ GUARDED_BY(mirror_mu_);
-  NdArray<int64_t> mirror_counts_ GUARDED_BY(mirror_mu_);
-
-  /// Exactly one of these is live, per options_.group_commit.
-  mutable Mutex wal_mu_{"DurableOlapEngine.wal"};
-  std::optional<WriteAheadLog> wal_ GUARDED_BY(wal_mu_);
-  std::unique_ptr<GroupCommitWal> group_wal_;
-
-  RetryPolicy retry_policy_;
-  std::function<void()> checkpoint_write_hook_;
+  std::unique_ptr<GenerationStore> store_;
 };
 
 }  // namespace rps

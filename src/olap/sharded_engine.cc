@@ -440,6 +440,31 @@ Result<std::vector<double>> ShardedOlapEngine::RollingAverage(
   return out;
 }
 
+ShardedOlapEngine::FrozenCells ShardedOlapEngine::FreezeCells() const {
+  FrozenCells frozen;
+  frozen.starts_ = starts_;
+  // Writers publish and retire only under writer_mu_, so the published
+  // version cannot be freed while it is held; no epoch pin needed.
+  MutexLock lock(&writer_mu_);
+  frozen.shards_ = version_.load(std::memory_order_acquire)->shards;
+  return frozen;
+}
+
+void ShardedOlapEngine::FrozenCells::ForEach(
+    const std::function<void(const CellIndex&, double, int64_t)>& visit)
+    const {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const ShardState& shard = *shards_[s];
+    const Box local = Box::All(shard.sums->shape());
+    CellIndex index = local.lo();
+    do {
+      CellIndex cell = index;
+      cell[0] += starts_[s];
+      visit(cell, shard.sums->ValueAt(index), shard.counts->ValueAt(index));
+    } while (NextIndexInBox(local, index));
+  }
+}
+
 std::string ShardedOlapEngine::HealthJson() const {
   std::string out = "{\"method\":\"";
   out += EngineMethodName(method_);

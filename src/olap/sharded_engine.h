@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -55,6 +56,7 @@ namespace rps {
 class ShardedOlapEngine final : public OlapServingEngine {
  private:
   struct EngineVersion;
+  struct ShardState;
 
  public:
   /// A pinned read of one published version, opened by each read
@@ -102,6 +104,23 @@ class ShardedOlapEngine final : public OlapServingEngine {
     obs::CollectorSpan span_;
     EpochDomain::Guard guard_;
     const EngineVersion* const version_;
+  };
+
+  /// The cells of one published version, read back outside every
+  /// lock (a durable checkpoint's image). Holds references to the
+  /// version's immutable shards, not an epoch pin, so it may outlive
+  /// later publications. A default FrozenCells holds no cells.
+  class FrozenCells {
+   public:
+    /// Calls `visit(cell, sum, count)` for every cell of the cube in
+    /// row-major order, decoding each with QueryMethod::ValueAt.
+    void ForEach(const std::function<void(const CellIndex& cell, double sum,
+                                          int64_t count)>& visit) const;
+
+   private:
+    friend class ShardedOlapEngine;
+    std::vector<std::shared_ptr<const ShardState>> shards_;
+    std::vector<int64_t> starts_;
   };
 
   /// An empty engine over `schema` using `method`, split into
@@ -158,6 +177,10 @@ class ShardedOlapEngine final : public OlapServingEngine {
   Result<std::vector<double>> RollingAverage(const RangeQuery& query,
                                              const std::string& dimension,
                                              int64_t window) const;
+
+  /// Freezes the published version for reading back: copies its shard
+  /// references under the writer lock. O(S); copies no cells.
+  FrozenCells FreezeCells() const;
 
   std::string HealthJson() const override;
 
@@ -219,7 +242,7 @@ class ShardedOlapEngine final : public OlapServingEngine {
   /// swap); read by pinned readers with an acquire load. Never null.
   std::atomic<const EngineVersion*> version_{nullptr};
 
-  Mutex writer_mu_{"ShardedOlapEngine.writer_mu"};
+  mutable Mutex writer_mu_{"ShardedOlapEngine.writer_mu"};
   /// Monotonic publication counter (matches the published version's
   /// generation while writer_mu_ is held).
   uint64_t next_generation_ GUARDED_BY(writer_mu_) = 1;

@@ -1,120 +1,39 @@
-// Durable relative prefix sums: snapshot + write-ahead log.
+// Durable relative prefix sums: a RelativePrefixSum<T> in memory, kept
+// durable by a GenerationStore (storage/generation_store.h).
 //
-// The in-memory structure is paired with an on-disk directory of
-// numbered generations committed through a manifest:
-//   CURRENT          -- text file naming the live generation N
-//   snapshot-N.bin   -- CRC-checked structure snapshot (core/snapshot.h)
-//   wal-N.log        -- updates applied since snapshot N
-// Every Add appends to the log before mutating memory, so a crash
-// loses at most a torn tail; Open() reads CURRENT, restores snapshot
-// N and replays its log(s). Checkpoint() writes the NEXT generation's
-// snapshot and empty log beside the live ones, fsyncs them, then
-// commits by atomically replacing CURRENT (tmp + fsync + rename +
-// directory fsync). A crash at any instant leaves CURRENT naming a
-// generation whose snapshot and logs are intact and mutually
-// consistent. This is the durability story for the paper's
-// "near-current" cubes: cheap updates AND cheap recovery.
+// The store's image is the structure's snapshot (core/snapshot.h):
+//   CURRENT          -- live generation N and the snapshot geometry
+//   snapshot-N.bin   -- CRC-checked structure snapshot
+//   wal-N.log        -- {cell, delta} records logged since snapshot N
+// Every Add is durable in the log before it mutates memory, so a crash
+// loses at most a torn tail; Open restores snapshot N and replays its
+// log(s). Checkpoint writes the next generation beside the live one
+// and commits it atomically. This is the durability story for the
+// paper's "near-current" cubes: cheap updates AND cheap recovery.
 //
-// Two modes (DurableOptions):
-//
-//   Per-record (default, the historical behavior): single-threaded
-//   handle; Add pays one barrier per record and Checkpoint rebuilds
-//   the snapshot inline, blocking the caller for the duration.
-//
-//   Group commit (options.group_commit): the handle is safe for
-//   concurrent Add/queries; appends funnel through a GroupCommitWal
-//   (one barrier per batch of concurrent writers), and Checkpoint is
-//   PIPELINED: it briefly quiesces writers just long enough to rotate
-//   the log to the next generation and clone the structure, then
-//   writes the snapshot and commits the manifest while appends
-//   continue into the already-rotated log. Writers never wait on
-//   snapshot I/O.
-//
-// Crash consistency of the pipelined checkpoint is by fold-forward
-// recovery: rotation makes acked records land in wal-(N+1) while
-// CURRENT still names N, so a crash before the manifest commit leaves
-// "orphan" logs above the live generation. Open() replays snapshot-N
-// plus wal-N plus every consecutive orphan log (deltas are
-// commutative, so cross-log replay order is irrelevant), then
-// immediately checkpoints the folded state to a fresh generation and
-// garbage-collects the old files -- CURRENT=N stays valid until that
-// commit lands, so recovery is idempotent under repeated crashes.
-//
-// Transient append failures (simulated short writes, ENOSPC) are
-// retried with bounded backoff (util/retry.h); the WAL rolls partial
-// groups back to a group boundary before each retry.
+// The handle is safe for concurrent Add and queries in both modes
+// (DurableOptions): per-record pays one barrier per Add, group commit
+// one per batch of concurrent writers. A checkpoint quiesces writers
+// only while the log rotates and the structure is cloned; the snapshot
+// write runs with Adds flowing into the rotated log.
 
 #ifndef RPS_STORAGE_DURABLE_RPS_H_
 #define RPS_STORAGE_DURABLE_RPS_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/snapshot.h"
 #include "obs/event_log.h"
-#include "storage/fault_env.h"
-#include "storage/group_commit.h"
-#include "storage/wal.h"
-#include "util/annotations.h"
+#include "storage/generation_store.h"
+#include "util/crc32.h"
 #include "util/mutex.h"
-#include "util/retry.h"
 
 namespace rps {
-
-namespace durable_internal {
-
-/// Reads the generation number from a CURRENT manifest.
-inline Result<int64_t> ReadManifest(const std::string& path) {
-  RPS_ASSIGN_OR_RETURN(fault_env::File file,
-                       fault_env::File::Open(path, "rb", "current"));
-  char buffer[32] = {};
-  RPS_ASSIGN_OR_RETURN(const size_t got,
-                       file.ReadUpTo(buffer, sizeof(buffer) - 1));
-  RPS_RETURN_IF_ERROR(file.Close());
-  char* end = nullptr;
-  const long long generation = std::strtoll(buffer, &end, 10);
-  if (got == 0 || end == buffer || generation < 1) {
-    return Status::IoError("corrupt manifest: " + path);
-  }
-  return static_cast<int64_t>(generation);
-}
-
-/// Atomically points the CURRENT manifest at `generation`: tmp write +
-/// fsync + rename + directory fsync. This is the checkpoint commit
-/// point.
-inline Status CommitManifest(const std::string& directory,
-                             int64_t generation) {
-  const std::string path = directory + "/CURRENT";
-  const std::string tmp = path + ".tmp";
-  const std::string text = std::to_string(generation) + "\n";
-  {
-    RPS_ASSIGN_OR_RETURN(fault_env::File file,
-                         fault_env::File::Open(tmp, "wb", "current"));
-    RPS_RETURN_IF_ERROR(file.Write(text.data(), text.size()));
-    RPS_RETURN_IF_ERROR(file.Sync());
-    RPS_RETURN_IF_ERROR(file.Close());
-  }
-  RPS_RETURN_IF_ERROR(fault_env::Rename(tmp, path, "current"));
-  return fault_env::SyncDir(directory, "current");
-}
-
-}  // namespace durable_internal
-
-/// Mode selection for a DurableRps handle (fixed at Create/Open).
-struct DurableOptions {
-  /// Route appends through a group-commit WAL and pipeline
-  /// checkpoints. Makes the handle safe for concurrent Add/queries.
-  bool group_commit = false;
-  /// Group caps, barrier strength and queue depth (group mode only).
-  GroupCommitOptions group;
-};
 
 template <typename T>
 class DurableRps {
@@ -127,151 +46,82 @@ class DurableRps {
   DurableRps& operator=(const DurableRps&) = delete;
 
   /// Creates a fresh durable structure in `directory` (which must
-  /// exist): builds from `source`, writes the generation-1 snapshot
-  /// and an empty log, and commits the manifest.
+  /// exist): builds from `source` and commits it as generation 1.
   static Result<DurableRps> Create(const NdArray<T>& source,
                                    const CellIndex& box_size,
                                    const std::string& directory,
                                    const DurableOptions& options = {}) {
-    DurableRps durable(RelativePrefixSum<T>(source, box_size), directory,
-                       /*generation=*/1, options);
-    RPS_RETURN_IF_ERROR(SaveSnapshot(*durable.rps_, durable.snapshot_path(),
-                                     {.durable = true}));
+    DurableRps durable;
+    durable.rps_ = std::make_unique<RelativePrefixSum<T>>(source, box_size);
     RPS_ASSIGN_OR_RETURN(
-        WriteAheadLog wal,
-        WriteAheadLog::OpenForAppend(durable.wal_path(),
-                                     source.shape().dims(), sizeof(T)));
-    RPS_RETURN_IF_ERROR(wal.Reset());  // fresh Create discards stale logs
-    RPS_RETURN_IF_ERROR(fault_env::SyncDir(directory, "current"));
-    RPS_RETURN_IF_ERROR(durable_internal::CommitManifest(directory, 1));
-    durable.AdoptLog(std::move(wal));
+        durable.store_,
+        GenerationStore::Create(
+            directory, LogGeometry{source.shape().dims(), sizeof(T)},
+            Fingerprint(*durable.rps_),
+            [&](const std::string& path) {
+              return SaveSnapshot(*durable.rps_, path, {.durable = true});
+            },
+            options));
     return durable;
   }
 
-  /// Restores from `directory`: reads CURRENT, loads the live
-  /// snapshot and replays its log -- plus, after a crashed pipelined
-  /// checkpoint, every consecutive orphan log above it (fold-forward;
-  /// see the header comment). `replayed` (optional out) reports how
-  /// many records were applied across all logs and whether a torn
-  /// tail was discarded. Stale files from neighbouring generations
-  /// are garbage-collected best-effort.
+  /// Restores from `directory`: the live snapshot plus every log the
+  /// store replays (see storage/generation_store.h). `replayed`
+  /// (optional out) reports the records applied across all logs and
+  /// whether a torn tail was discarded.
   static Result<DurableRps> Open(const std::string& directory,
                                  WalReplay* replayed = nullptr,
                                  const DurableOptions& options = {}) {
-    RPS_ASSIGN_OR_RETURN(
-        const int64_t generation,
-        durable_internal::ReadManifest(directory + "/CURRENT"));
-    RPS_ASSIGN_OR_RETURN(
-        RelativePrefixSum<T> rps,
-        LoadSnapshot<T>(SnapshotPathFor(directory, generation)));
-    DurableRps durable(std::move(rps), directory, generation, options);
-    const int dims = durable.rps_->shape().dims();
-
-    RPS_ASSIGN_OR_RETURN(
-        WalReplay live,
-        WriteAheadLog::Replay(durable.wal_path(), dims, sizeof(T)));
-    RPS_RETURN_IF_ERROR(durable.ApplyReplay(live));
-    WalReplay total = live;
-
-    // Fold-forward: a crashed (or failed) pipelined checkpoint leaves
-    // acked records in logs above the live generation. Replay every
-    // consecutive orphan log; only the last existing log can have a
-    // torn tail (rotation freezes each log before the next opens).
-    int64_t top = generation;
-    bool orphan_records = false;
-    for (int64_t g = generation + 1;
-         std::filesystem::exists(WalPathFor(directory, g)); ++g) {
-      RPS_ASSIGN_OR_RETURN(
-          WalReplay orphan,
-          WriteAheadLog::Replay(WalPathFor(directory, g), dims, sizeof(T)));
-      RPS_RETURN_IF_ERROR(durable.ApplyReplay(orphan));
-      orphan_records = orphan_records || !orphan.records.empty();
-      total.records.insert(total.records.end(), orphan.records.begin(),
-                           orphan.records.end());
-      total.tail_truncated = total.tail_truncated || orphan.tail_truncated;
-      top = g;
-    }
-
-    if (orphan_records) {
-      // The folded state spans several logs; checkpoint it to a fresh
-      // generation immediately so the on-disk layout collapses back
-      // to one snapshot + one (empty) log. CURRENT keeps naming the
-      // old generation until this commit lands, so a crash anywhere
-      // in here just re-runs the fold.
-      const int64_t next = top + 1;
-      RPS_RETURN_IF_ERROR(RetryWithBackoff(durable.retry_policy_, [&] {
-        return SaveSnapshot(*durable.rps_,
-                            SnapshotPathFor(directory, next),
-                            {.durable = true});
-      }));
-      RPS_ASSIGN_OR_RETURN(
-          WriteAheadLog wal,
-          WriteAheadLog::OpenForAppend(WalPathFor(directory, next), dims,
-                                       sizeof(T)));
-      RPS_RETURN_IF_ERROR(wal.Reset());
-      RPS_RETURN_IF_ERROR(fault_env::SyncDir(directory, "current"));
-      RPS_RETURN_IF_ERROR(durable_internal::CommitManifest(directory, next));
-      durable.SetGenerations(next, next);
-      total.valid_bytes = 0;
-      durable.AdoptLog(std::move(wal));
-    } else {
-      if (total.tail_truncated) {
-        // Cut the torn tail off before appending: bytes written after
-        // a damaged record would be invisible to every future replay.
-        RPS_RETURN_IF_ERROR(WriteAheadLog::TruncateTorn(durable.wal_path(),
-                                                        total.valid_bytes));
+    DurableRps durable;
+    GenerationStore::Recovery recovery;
+    recovery.load_image = [&](const std::string& path,
+                              uint32_t fingerprint) -> Status {
+      RPS_ASSIGN_OR_RETURN(RelativePrefixSum<T> rps, LoadSnapshot<T>(path));
+      if (Fingerprint(rps) != fingerprint) {
+        return Status::IoError("snapshot geometry " +
+                               std::to_string(Fingerprint(rps)) +
+                               " does not match the manifest's " +
+                               std::to_string(fingerprint) + ": " + path);
       }
-      RPS_ASSIGN_OR_RETURN(
-          WriteAheadLog wal,
-          WriteAheadLog::OpenForAppend(durable.wal_path(), dims, sizeof(T)));
-      durable.AdoptLog(std::move(wal));
-    }
-    if (replayed != nullptr) *replayed = total;
-    durable.RemoveStaleGenerations();
+      durable.rps_ = std::make_unique<RelativePrefixSum<T>>(std::move(rps));
+      return Status::Ok();
+    };
+    recovery.apply_record = [&](const WalRecord& record) -> Status {
+      if (!durable.rps_->shape().Contains(record.cell)) {
+        return Status::IoError("WAL record outside cube");
+      }
+      T delta;
+      std::memcpy(&delta, record.payload.data(), sizeof(T));
+      durable.rps_->Add(record.cell, delta);
+      return Status::Ok();
+    };
+    recovery.freeze_image = [&] { return durable.FreezeImage(); };
+    RPS_ASSIGN_OR_RETURN(
+        durable.store_,
+        GenerationStore::Open(directory, recovery, options, replayed));
     return durable;
   }
 
   const Shape& shape() const { return rps_->shape(); }
   const RelativePrefixSum<T>& structure() const { return *rps_; }
 
-  /// Logged point update: WAL append first (retrying transient
-  /// failures), then the in-memory structure. In group mode this is
-  /// safe from any thread: the record becomes durable with its commit
-  /// group's single barrier before memory is touched.
+  /// Logged point update: durable in the log first (retrying transient
+  /// failures), then applied to the in-memory structure. Safe from any
+  /// thread.
   Result<UpdateStats> Add(const CellIndex& cell, T delta) {
     obs::RequestScope request(obs::WideEventKind::kUpdate, "durable.add",
                               "relative_prefix_sum");
-    if (group_wal_ != nullptr) {
-      BeginApply();
-      const Status appended = group_wal_->Append(cell, &delta);
-      if (!appended.ok()) {
-        EndApply();
-        request.set_ok(false);
-        return appended;
-      }
-      request.add_wal_bytes(record_bytes_);
-      UpdateStats stats;
-      {
-        WriterLock lock(&sync_->structure_mu);
-        stats = rps_->Add(cell, delta);
-      }
-      EndApply();
-      request.set_cells(stats.primary_cells, stats.aux_cells);
-      return stats;
-    }
-    const int64_t wal_before = wal_->committed_size();
-    const Status appended = RetryWithBackoff(
-        retry_policy_, [&] { return wal_->Append(cell, &delta); });
+    UpdateStats stats;
+    const WalAppend record{&cell, &delta};
+    const Status appended = store_->Append(&record, 1, [&] {
+      WriterLock lock(&sync_->structure_mu);
+      stats = rps_->Add(cell, delta);
+    });
     if (!appended.ok()) {
       request.set_ok(false);
       return appended;
     }
-    request.add_wal_bytes(wal_->committed_size() - wal_before);
-    UpdateStats stats;
-    {
-      WriterLock lock(&sync_->structure_mu);
-      stats = rps_->Add(cell, delta);
-    }
+    request.add_wal_bytes(store_->record_size());
     request.set_cells(stats.primary_cells, stats.aux_cells);
     return stats;
   }
@@ -289,332 +139,96 @@ class DurableRps {
     return rps_->ValueAt(cell);
   }
 
-  /// Records logged since the last rotation (through this handle).
-  int64_t wal_records() const {
-    return group_wal_ != nullptr ? group_wal_->appended() : wal_->appended();
-  }
-
+  /// Records logged since the last rotation.
+  int64_t wal_records() const { return store_->wal_records(); }
   /// Live (manifest-committed) generation number.
-  int64_t generation() const {
-    MutexLock lock(&sync_->state_mu);
-    return sync_->generation;
-  }
-
+  int64_t generation() const { return store_->generation(); }
   /// Generation of the log currently receiving appends. Runs ahead of
-  /// generation() while a pipelined checkpoint is in flight.
-  int64_t wal_generation() const {
-    MutexLock lock(&sync_->state_mu);
-    return sync_->wal_generation;
-  }
-
-  /// True while a pipelined checkpoint is writing its snapshot in the
-  /// background.
-  bool checkpoint_in_flight() const {
-    MutexLock lock(&sync_->state_mu);
-    return sync_->checkpoint_in_flight;
-  }
-
-  bool group_commit() const { return group_wal_ != nullptr; }
+  /// generation() while a checkpoint is in flight.
+  int64_t wal_generation() const { return store_->wal_generation(); }
+  /// True while a checkpoint is writing its snapshot.
+  bool checkpoint_in_flight() const { return store_->checkpoint_in_flight(); }
+  bool group_commit() const { return store_->group_commit(); }
 
   /// On-disk paths of the live generation (tests peek at these).
   std::string snapshot_path() const {
-    return SnapshotPathFor(directory_, generation());
+    return store_->ImagePath(store_->generation());
   }
   std::string wal_path() const {
-    return WalPathFor(directory_, wal_generation());
+    return store_->WalPath(store_->wal_generation());
   }
-  const std::string& directory() const { return directory_; }
+  const std::string& directory() const { return store_->directory(); }
 
   /// Retry policy for transient WAL/checkpoint I/O failures.
   void set_retry_policy(const RetryPolicy& policy) {
-    retry_policy_ = policy;
-    if (group_wal_ != nullptr) group_wal_->set_retry_policy(policy);
+    store_->set_retry_policy(policy);
   }
 
-  /// Test hook: runs after a pipelined checkpoint rotated the log and
-  /// cloned the structure (writers already released) and before the
-  /// snapshot write. Lets tests pin "Checkpoint does not block Add"
-  /// deterministically by parking the checkpoint mid-flight.
+  /// Test hook: runs after a checkpoint rotated the log and cloned the
+  /// structure (writers already released) and before the snapshot
+  /// write, so tests can pin "Checkpoint does not block Add".
   void set_checkpoint_write_hook(std::function<void()> hook) {
-    sync_->checkpoint_write_hook = std::move(hook);
+    store_->set_checkpoint_write_hook(std::move(hook));
   }
 
   /// Persists the current state as the next generation and commits it
-  /// atomically; the previous generation's files are then removed
-  /// best-effort. Per-record mode runs inline (the historical
-  /// behavior, blocking the caller AND, in principle, any writer).
-  /// Group mode pipelines: writers stall only for the rotation+clone
-  /// window, never for snapshot I/O. If this fails, the live
-  /// generation is unchanged and the handle remains usable (when the
-  /// failure was not a crash).
+  /// atomically; the previous generation's files are then removed.
+  /// Writers stall only for the rotation and the clone. If this fails,
+  /// the live generation is unchanged and the handle remains usable
+  /// (when the failure was not a crash).
   Status Checkpoint() {
     obs::RequestScope request(obs::WideEventKind::kCheckpoint,
                               "durable.checkpoint", "relative_prefix_sum");
-    request.add_wal_bytes(group_wal_ != nullptr ? group_wal_->committed_size()
-                                                : wal_->committed_size());
-    const Status status = group_wal_ != nullptr ? PipelinedCheckpoint()
-                                                : CheckpointImpl();
+    request.add_wal_bytes(store_->wal_bytes());
+    const Status status = store_->Checkpoint([this] { return FreezeImage(); });
     request.set_ok(status.ok());
     return status;
   }
 
-  /// Health-source payload for the exposition server: the live
-  /// generation, log accumulation, and -- for operators watching a
-  /// stuck checkpointer -- the pipelined-checkpoint state.
-  std::string HealthJson() const {
-    int64_t committed_generation = 0;
-    int64_t log_generation = 0;
-    bool in_flight = false;
-    {
-      MutexLock lock(&sync_->state_mu);
-      committed_generation = sync_->generation;
-      log_generation = sync_->wal_generation;
-      in_flight = sync_->checkpoint_in_flight;
-    }
-    std::string out = "{\"generation\":";
-    out += std::to_string(committed_generation);
-    out += ",\"wal_records\":";
-    out += std::to_string(wal_records());
-    out += ",\"wal_bytes\":";
-    out += std::to_string(group_wal_ != nullptr ? group_wal_->committed_size()
-                                                : wal_->committed_size());
-    out += ",\"mode\":\"";
-    out += group_wal_ != nullptr ? "group_commit" : "per_record";
-    out += "\",\"wal_generation\":";
-    out += std::to_string(log_generation);
-    out += ",\"checkpoint_in_flight\":";
-    out += in_flight ? "true" : "false";
-    out += ",\"commit_queue_depth\":";
-    out += std::to_string(group_wal_ != nullptr ? group_wal_->queue_depth()
-                                                : 0);
-    out += '}';
-    return out;
-  }
+  /// Health-source payload for the exposition server: the store's
+  /// durable health block.
+  std::string HealthJson() const { return store_->HealthJson(); }
 
  private:
-  /// Synchronization state, heap-allocated so the handle stays
-  /// movable. The apply gate makes "durable in the pre-rotation log
-  /// implies applied to the pre-rotation clone" hold: every Add holds
-  /// the gate across enqueue -> durable -> memory apply, and rotation
-  /// waits for the gate to drain before switching logs and cloning.
+  /// Heap-allocated so the handle stays movable.
   struct SyncState {
-    Mutex gate_mu{"DurableRps.gate"};
-    CondVar gate_cv;
-    int64_t active_appends GUARDED_BY(gate_mu) = 0;
-    bool rotating GUARDED_BY(gate_mu) = false;
-
-    /// Writers exclusive for the in-place structure mutation, readers
+    /// Writers exclusive for the in-place mutation of *rps_, readers
     /// shared for queries and the checkpoint clone.
-    mutable SharedMutex structure_mu{"DurableRps.structure"};
-
-    /// Serializes whole Checkpoint() calls against each other.
-    Mutex checkpoint_mu{"DurableRps.checkpoint"};  // check_guards: standalone
-
-    mutable Mutex state_mu{"DurableRps.state"};
-    int64_t generation GUARDED_BY(state_mu) = 1;
-    int64_t wal_generation GUARDED_BY(state_mu) = 1;
-    bool checkpoint_in_flight GUARDED_BY(state_mu) = false;
-
-    std::function<void()> checkpoint_write_hook;
+    mutable SharedMutex structure_mu{"DurableRps.structure"};  // check_guards: standalone
   };
 
-  DurableRps(RelativePrefixSum<T> rps, std::string directory,
-             int64_t generation, const DurableOptions& options)
-      : rps_(std::make_unique<RelativePrefixSum<T>>(std::move(rps))),
-        directory_(std::move(directory)),
-        options_(options),
-        sync_(std::make_unique<SyncState>()) {
-    MutexLock lock(&sync_->state_mu);
-    sync_->generation = generation;
-    sync_->wal_generation = generation;
-  }
+  DurableRps() : sync_(std::make_unique<SyncState>()) {}
 
-  /// Wraps a freshly opened live log in the mode's front end.
-  void AdoptLog(WriteAheadLog wal) {
-    if (options_.group_commit) {
-      record_bytes_ = wal.record_size();
-      group_wal_ =
-          std::make_unique<GroupCommitWal>(std::move(wal), options_.group);
-      group_wal_->set_retry_policy(retry_policy_);
-    } else {
-      wal_.emplace(std::move(wal));
+  /// CRC-32 of the snapshot geometry: value size, extents, box size.
+  static uint32_t Fingerprint(const RelativePrefixSum<T>& rps) {
+    Crc32 crc;
+    const uint32_t value_size = sizeof(T);
+    crc.Update(&value_size, sizeof(value_size));
+    for (int j = 0; j < rps.shape().dims(); ++j) {
+      const int64_t extent = rps.shape().extent(j);
+      const int64_t box = rps.geometry().box_size()[j];
+      crc.Update(&extent, sizeof(extent));
+      crc.Update(&box, sizeof(box));
     }
+    return crc.value();
   }
 
-  void SetGenerations(int64_t generation, int64_t wal_generation) {
-    MutexLock lock(&sync_->state_mu);
-    sync_->generation = generation;
-    sync_->wal_generation = wal_generation;
-  }
-
-  Status ApplyReplay(const WalReplay& replay) {
-    for (const WalRecord& record : replay.records) {
-      T delta;
-      std::memcpy(&delta, record.payload.data(), sizeof(T));
-      if (!rps_->shape().Contains(record.cell)) {
-        return Status::IoError("WAL record outside cube");
-      }
-      rps_->Add(record.cell, delta);
-    }
-    return Status::Ok();
-  }
-
-  void BeginApply() {
-    MutexLock lock(&sync_->gate_mu);
-    while (sync_->rotating) sync_->gate_cv.Wait(sync_->gate_mu);
-    ++sync_->active_appends;
-  }
-
-  void EndApply() {
-    MutexLock lock(&sync_->gate_mu);
-    --sync_->active_appends;
-    sync_->gate_cv.NotifyAll();
-  }
-
-  /// Inline checkpoint (per-record mode): snapshot the live structure
-  /// while the caller blocks.
-  Status CheckpointImpl() {
-    const int64_t next = generation() + 1;
-    const std::string next_snapshot = SnapshotPathFor(directory_, next);
-    const std::string next_wal = WalPathFor(directory_, next);
-    // Write the next generation beside the live one. Transient
-    // failures (e.g. ENOSPC pressure) retry the whole snapshot write.
-    RPS_RETURN_IF_ERROR(RetryWithBackoff(retry_policy_, [&] {
-      return SaveSnapshot(*rps_, next_snapshot, {.durable = true});
-    }));
-    RPS_ASSIGN_OR_RETURN(
-        WriteAheadLog next_log,
-        WriteAheadLog::OpenForAppend(next_wal, rps_->shape().dims(),
-                                     sizeof(T)));
-    RPS_RETURN_IF_ERROR(next_log.Reset());
-    RPS_RETURN_IF_ERROR(fault_env::SyncDir(directory_, "current"));
-    // Commit point: until this rename lands, recovery uses the old
-    // snapshot + old log; after it, the new snapshot + empty log.
-    RPS_RETURN_IF_ERROR(durable_internal::CommitManifest(directory_, next));
-    const int64_t previous = generation();
-    SetGenerations(next, next);
-    wal_ = std::move(next_log);
-    (void)fault_env::Remove(SnapshotPathFor(directory_, previous));
-    (void)fault_env::Remove(WalPathFor(directory_, previous));
-    return Status::Ok();
-  }
-
-  /// Pipelined checkpoint (group mode). Phase 1, under the apply
-  /// gate: rotate the log to the next generation and clone the
-  /// structure -- O(structure size) memory copy, no snapshot I/O.
-  /// Phase 2, with writers running: write the clone's snapshot, fsync
-  /// and commit the manifest. On a phase-2 failure CURRENT keeps
-  /// naming the old generation; acked records are in the rotated
-  /// log(s) and fold-forward recovery (or a retried Checkpoint, which
-  /// targets a fresh generation past every rotated log) folds them in.
-  Status PipelinedCheckpoint() {
-    MutexLock checkpoint(&sync_->checkpoint_mu);
-    int64_t next = 0;
-    std::unique_ptr<RelativePrefixSum<T>> clone;
+  /// Clones the structure (writers are quiesced) into the writer of
+  /// its snapshot.
+  GenerationStore::ImageWriter FreezeImage() const {
+    std::shared_ptr<const RelativePrefixSum<T>> frozen;
     {
-      MutexLock gate(&sync_->gate_mu);
-      sync_->rotating = true;
-      while (sync_->active_appends > 0) sync_->gate_cv.Wait(sync_->gate_mu);
-      // Quiesced: the commit queue is empty and the live log holds
-      // exactly the records applied to memory.
-      next = wal_generation() + 1;
-      Status rotation;
-      Result<WriteAheadLog> next_log = WriteAheadLog::OpenForAppend(
-          WalPathFor(directory_, next), rps_->shape().dims(), sizeof(T));
-      if (next_log.ok()) {
-        WriteAheadLog log = std::move(next_log).value();
-        rotation = log.Reset();
-        if (rotation.ok()) {
-          // Rotate swaps unconditionally: from here the active log IS
-          // wal-(next), even if closing the frozen one failed.
-          const Status rotated = group_wal_->Rotate(std::move(log));
-          {
-            MutexLock lock(&sync_->state_mu);
-            sync_->wal_generation = next;
-          }
-          rotation = rotated;
-        }
-      } else {
-        rotation = next_log.status();
-      }
-      if (rotation.ok()) {
-        {
-          MutexLock lock(&sync_->state_mu);
-          sync_->checkpoint_in_flight = true;
-        }
-        ReaderLock structure(&sync_->structure_mu);
-        clone = std::make_unique<RelativePrefixSum<T>>(*rps_);
-      }
-      sync_->rotating = false;
-      sync_->gate_cv.NotifyAll();
-      if (!rotation.ok()) return rotation;
+      ReaderLock lock(&sync_->structure_mu);
+      frozen = std::make_shared<const RelativePrefixSum<T>>(*rps_);
     }
-
-    // Writers are live again; everything below runs against the
-    // frozen clone and the filesystem only.
-    if (sync_->checkpoint_write_hook) sync_->checkpoint_write_hook();
-    Status status = RetryWithBackoff(retry_policy_, [&] {
-      return SaveSnapshot(*clone, SnapshotPathFor(directory_, next),
-                          {.durable = true});
-    });
-    if (status.ok()) status = fault_env::SyncDir(directory_, "current");
-    if (status.ok()) {
-      status = durable_internal::CommitManifest(directory_, next);
-    }
-    {
-      MutexLock lock(&sync_->state_mu);
-      sync_->checkpoint_in_flight = false;
-      if (status.ok()) sync_->generation = next;
-    }
-    if (status.ok()) RemoveStaleGenerations();
-    return status;
+    return [frozen](const std::string& path) {
+      return SaveSnapshot(*frozen, path, {.durable = true});
+    };
   }
 
-  static std::string SnapshotPathFor(const std::string& directory,
-                                     int64_t generation) {
-    return directory + "/snapshot-" + std::to_string(generation) + ".bin";
-  }
-  static std::string WalPathFor(const std::string& directory,
-                                int64_t generation) {
-    return directory + "/wal-" + std::to_string(generation) + ".log";
-  }
-
-  /// Best-effort removal of files a crashed or folded checkpoint can
-  /// leave behind: every generation below the live one (walking down
-  /// until nothing is found) and the immediately-next one when it
-  /// never received records (crash between snapshot write and
-  /// commit), plus a stranded manifest temp file.
-  void RemoveStaleGenerations() {
-    const int64_t live = generation();
-    const int64_t active_log = wal_generation();
-    for (int64_t stale = live - 1; stale >= 1; --stale) {
-      const bool had_snapshot =
-          std::filesystem::exists(SnapshotPathFor(directory_, stale));
-      const bool had_wal =
-          std::filesystem::exists(WalPathFor(directory_, stale));
-      if (!had_snapshot && !had_wal) break;
-      (void)fault_env::Remove(SnapshotPathFor(directory_, stale));
-      (void)fault_env::Remove(WalPathFor(directory_, stale));
-    }
-    if (active_log == live) {
-      // No pipelined rotation outstanding: anything above the live
-      // generation is debris from a checkpoint that never committed
-      // (and, per Open's fold-forward, never held records).
-      (void)fault_env::Remove(SnapshotPathFor(directory_, live + 1));
-      (void)fault_env::Remove(WalPathFor(directory_, live + 1));
-    }
-    (void)fault_env::Remove(directory_ + "/CURRENT.tmp");
-  }
-
-  std::unique_ptr<RelativePrefixSum<T>> rps_;
-  std::string directory_;
-  DurableOptions options_;
-  RetryPolicy retry_policy_;
   std::unique_ptr<SyncState> sync_;
-  /// Exactly one of these is live, per options_.group_commit.
-  std::optional<WriteAheadLog> wal_;
-  std::unique_ptr<GroupCommitWal> group_wal_;
-  int64_t record_bytes_ = 0;
+  std::unique_ptr<RelativePrefixSum<T>> rps_;
+  std::unique_ptr<GenerationStore> store_;
 };
 
 }  // namespace rps

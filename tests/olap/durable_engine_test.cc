@@ -2,8 +2,12 @@
 // (per-record and group commit): accepted records must survive a
 // handle drop with no checkpoint, checkpoints must advance the
 // generation and empty the replay, bulk Load must be durable through
-// its implicit checkpoint, and the health payload must expose the
-// durable state beside the inner engine's.
+// its implicit checkpoint, the health payload must expose the durable
+// state beside the inner engine's, and Open must refuse a schema of
+// another geometry.
+//
+// Runs under the tsan preset (LABELS concurrency): the store's commit
+// thread and the checkpoint's version read-back.
 
 #include "olap/durable_engine.h"
 
@@ -226,6 +230,70 @@ TEST_P(DurableEngineTest, OpenValidatesRecordGeometry) {
                                           /*shards=*/0, tmp_.path(),
                                           Options());
   EXPECT_FALSE(reopened.ok());
+}
+
+// The manifest records the schema's geometry. A directory written
+// under an 8x8 integer schema refuses a schema with other extents, an
+// other origin or binned values -- each would reinterpret every cell --
+// and reopens under the same schema at any shard count and with any
+// method, since the image holds cells.
+TEST_P(DurableEngineTest, OpenChecksSchemaGeometry) {
+  {
+    auto created = Create();
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto engine = std::move(created).value();
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+      if (i == 25) {
+        ASSERT_TRUE(engine->Checkpoint().ok());  // image + log
+      }
+      ASSERT_TRUE(engine->Insert(Record(rng.UniformInt(0, kSide - 1),
+                                        rng.UniformInt(0, kSide - 1),
+                                        static_cast<double>(
+                                            rng.UniformInt(1, 9)))).ok());
+    }
+  }
+  const Dimension d1 = Dimension::Integer("d1", 0, kSide);
+  const Schema mismatched[] = {
+      Schema("MEASURE", {Dimension::Integer("d0", 0, 16),
+                         Dimension::Integer("d1", 0, 16)}),
+      Schema("MEASURE", {Dimension::Integer("d0", 100, kSide), d1}),
+      Schema("MEASURE", {Dimension::Binned("d0", 0.0, 8.0, kSide), d1}),
+  };
+  for (const Schema& schema : mismatched) {
+    auto reopened = DurableOlapEngine::Open(
+        schema, EngineMethod::kRelativePrefixSum, /*shards=*/0, tmp_.path(),
+        Options());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument)
+        << reopened.status().ToString();
+  }
+
+  // Every box's SUM and COUNT, as answered after a reopen.
+  const auto answers = [&](EngineMethod method, int shards) {
+    std::vector<double> out;
+    auto reopened =
+        DurableOlapEngine::Open(TestSchema(), method, shards, tmp_.path(),
+                                Options());
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    if (!reopened.ok()) return out;
+    for (int64_t lo = 0; lo < kSide; lo += 3) {
+      for (int64_t hi = lo; hi < kSide; hi += 2) {
+        RangeQuery query;
+        query.WhereIntBetween("d0", lo, hi);
+        query.WhereIntBetween("d1", kSide - 1 - hi, kSide - 1 - lo);
+        out.push_back(reopened.value()->Sum(query).value());
+        out.push_back(static_cast<double>(
+            reopened.value()->Count(query).value()));
+      }
+    }
+    return out;
+  };
+  const std::vector<double> expected =
+      answers(EngineMethod::kRelativePrefixSum, 0);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(answers(EngineMethod::kFenwick, 3), expected);
+  EXPECT_EQ(answers(EngineMethod::kPrefixSum, 1), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DurableEngineTest, ::testing::Bool(),

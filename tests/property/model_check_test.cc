@@ -12,8 +12,8 @@
 //
 // Targets: the five in-memory methods (naive, prefix_sum, rps,
 // hierarchical_rps, fenwick), the dual structure (range update /
-// point query), the durable structure, and the serving engine at one
-// and at five shards.
+// point query), the durable structure, the serving engine at one and
+// at five shards, and the durable serving engine.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include "core/dual_rps.h"
 #include "cube/box.h"
 #include "cube/nd_array.h"
+#include "olap/durable_engine.h"
 #include "olap/group_by.h"
 #include "olap/query.h"
 #include "olap/sharded_engine.h"
@@ -514,17 +515,30 @@ class DurableSut : public Sut {
 class ServingSut : public Sut {
  public:
   ServingSut(int shards, const Shape& shape) : shape_(shape) {
-    std::vector<Dimension> dimensions;
-    for (int j = 0; j < shape.dims(); ++j) {
-      dimensions.push_back(Dimension::Integer(Dim(j), 0, shape.extent(j)));
-    }
     engine_ = std::make_unique<ShardedOlapEngine>(
-        Schema("MEASURE", std::move(dimensions)),
-        EngineMethod::kRelativePrefixSum, shards, nullptr);
+        MakeSchema(), EngineMethod::kRelativePrefixSum, shards, nullptr);
+  }
+
+  /// The durable serving engine (group commit): checkpoints and
+  /// crash-and-reopen cycles ride the trace at `config`'s cadences,
+  /// counted in mutating calls, and each reopen alternates the shard
+  /// count between `shards` and 1.
+  ServingSut(int shards, const Shape& shape, DurableSutConfig config)
+      : shape_(shape),
+        config_(config),
+        shards_(shards),
+        dir_(std::make_unique<testing::ScopedTempDir>("rps_model_check")) {
+    Result<std::unique_ptr<DurableOlapEngine>> created =
+        DurableOlapEngine::Create(MakeSchema(),
+                                  EngineMethod::kRelativePrefixSum, shards_,
+                                  dir_->path(), Options(), nullptr);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (created.ok()) durable_ = std::move(created).value();
   }
 
   void Insert(const CellIndex& cell, int64_t delta) override {
-    ASSERT_TRUE(engine_->Insert(Record(cell, delta)).ok());
+    ASSERT_TRUE(Serving().Insert(Record(cell, delta)).ok());
+    MaybeCycle();
   }
   void Load(const Shape& shape, const std::vector<int64_t>& dense,
             const Model& order) override {
@@ -533,17 +547,19 @@ class ServingSut : public Sut {
                   const int64_t value = dense[order.FlatIndex(cell)];
                   if (value != 0) records.push_back(Record(cell, value));
                 });
-    const IngestReport report = engine_->Load(records);
+    const IngestReport report = Serving().Load(records);
     ASSERT_EQ(report.rejected, 0);
+    MaybeCycle();
   }
   void RangeAdd(const Box& box, int64_t delta) override {
     std::vector<OlapRecord> records;
     ForEachCell(box,
                 [&](const CellIndex& c) { records.push_back(Record(c, delta)); });
-    ASSERT_TRUE(engine_->InsertBatch(records).ok());
+    ASSERT_TRUE(Serving().InsertBatch(records).ok());
+    MaybeCycle();
   }
   int64_t RangeSum(const Box& box) override {
-    const Result<double> sum = engine_->Sum(Query(box));
+    const Result<double> sum = Serving().Sum(Query(box));
     EXPECT_TRUE(sum.ok());
     return sum.ok() ? std::llround(sum.value()) : INT64_MIN;
   }
@@ -551,7 +567,7 @@ class ServingSut : public Sut {
     std::vector<RangeQuery> queries;
     queries.reserve(boxes.size());
     for (const Box& box : boxes) queries.push_back(Query(box));
-    const Result<std::vector<double>> results = engine_->QueryBatch(queries);
+    const Result<std::vector<double>> results = Serving().QueryBatch(queries);
     EXPECT_TRUE(results.ok());
     std::vector<int64_t> out;
     if (results.ok()) {
@@ -561,7 +577,8 @@ class ServingSut : public Sut {
   }
 
   Answer Operator(const Op& op) override {
-    const ShardedOlapEngine& engine = *engine_;
+    const ShardedOlapEngine& engine =
+        durable_ != nullptr ? durable_->inner() : *engine_;
     const RangeQuery query = Query(op.boxes[0]);
     const std::string dim = Dim(op.dim);
     switch (op.kind) {
@@ -601,6 +618,48 @@ class ServingSut : public Sut {
  private:
   static std::string Dim(int j) { return "d" + std::to_string(j); }
 
+  Schema MakeSchema() const {
+    std::vector<Dimension> dimensions;
+    for (int j = 0; j < shape_.dims(); ++j) {
+      dimensions.push_back(Dimension::Integer(Dim(j), 0, shape_.extent(j)));
+    }
+    return Schema("MEASURE", std::move(dimensions));
+  }
+
+  DurableOptions Options() const {
+    DurableOptions options;
+    options.group_commit = config_.group_commit;
+    return options;
+  }
+
+  OlapServingEngine& Serving() {
+    if (durable_ != nullptr) return *durable_;
+    return *engine_;
+  }
+
+  // As DurableSut::MaybeCycle, on the durable engine only. A reopen
+  // drops the engine without a checkpoint; replay (and fold-forward)
+  // must restore every acknowledged record.
+  void MaybeCycle() {
+    if (durable_ == nullptr) return;
+    ++mutations_;
+    if (config_.checkpoint_every > 0 &&
+        mutations_ % config_.checkpoint_every == 0) {
+      ASSERT_TRUE(durable_->Checkpoint().ok());
+    }
+    if (config_.reopen_every > 0 && mutations_ % config_.reopen_every == 0) {
+      durable_.reset();
+      ++reopens_;
+      Result<std::unique_ptr<DurableOlapEngine>> reopened =
+          DurableOlapEngine::Open(MakeSchema(),
+                                  EngineMethod::kRelativePrefixSum,
+                                  reopens_ % 2 == 1 ? 1 : shards_,
+                                  dir_->path(), Options(), nullptr);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      durable_ = std::move(reopened).value();
+    }
+  }
+
   template <typename T>
   static Answer Flatten(const Result<T>& result) {
     if (!result.ok()) return Answer{false, {}};
@@ -639,6 +698,12 @@ class ServingSut : public Sut {
 
   Shape shape_;
   std::unique_ptr<ShardedOlapEngine> engine_;
+  DurableSutConfig config_;
+  int shards_ = 1;
+  int64_t mutations_ = 0;
+  int64_t reopens_ = 0;
+  std::unique_ptr<testing::ScopedTempDir> dir_;
+  std::unique_ptr<DurableOlapEngine> durable_;
 };
 
 // ---------------------------------------------------------------
@@ -943,6 +1008,22 @@ TEST(ModelCheck, ShardedEngine) {
   CheckTarget("sharded", shape,
               [&] { return std::make_unique<ServingSut>(5, shape); }, kOps,
               /*operators=*/true);
+}
+
+TEST(ModelCheck, DurableEngine) {
+  const Shape shape = Shape::FromExtents({12, 9});
+  // The durable serving engine with every operator, pipelined
+  // checkpoints and crash-and-reopen cycles at prime cadences, reopened
+  // alternately at 3 and 1 shards. A checkpoint freezes a published
+  // version and reads its cells back, so replay plus the last image
+  // must hold exactly the acknowledged records.
+  DurableSutConfig config;
+  config.group_commit = true;
+  config.checkpoint_every = 23;
+  config.reopen_every = 41;
+  CheckTarget("durable_engine", shape,
+              [&] { return std::make_unique<ServingSut>(3, shape, config); },
+              kOps / 10, /*operators=*/true);
 }
 
 // Harness self-check: a SUT with an injected bug (drops every Insert

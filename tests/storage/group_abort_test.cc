@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "olap/durable_engine.h"
 #include "storage/durable_rps.h"
 #include "storage/fault_env.h"
 #include "storage/group_commit.h"
@@ -218,6 +219,72 @@ TEST_F(GroupAbortTest, FoldForwardRecoversAckedRecordsAfterCheckpointCrash) {
     ASSERT_EQ(reopened.value().RangeSum(range), oracle.SumBox(range));
   }
   ASSERT_EQ(reopened.value().RangeSum(Box::All(shape)),
+            oracle.SumBox(Box::All(shape)));
+}
+
+// The same hazard on the durable serving engine. Its image is framed
+// as WAL records, so the image write dies at io.wal.crash.
+TEST_F(GroupAbortTest,
+       DurableEngineFoldForwardRecoversAckedRecordsAfterCheckpointCrash) {
+  constexpr int64_t kSide = 8;
+  const Schema schema("MEASURE", {Dimension::Integer("d0", 0, kSide),
+                                  Dimension::Integer("d1", 0, kSide)});
+  const Shape shape{kSide, kSide};
+  NdArray<int64_t> oracle(shape, 0);
+  const auto insert = [&](DurableOlapEngine& engine, Rng& rng) {
+    const CellIndex cell{rng.UniformInt(0, 7), rng.UniformInt(0, 7)};
+    const int64_t measure = rng.UniformInt(1, 9);
+    oracle.at(cell) += measure;
+    OlapRecord record;
+    record.values = {cell[0], cell[1]};
+    record.measure = static_cast<double>(measure);
+    return engine.Insert(record);
+  };
+  const auto sum = [](const DurableOlapEngine& engine, const Box& range) {
+    RangeQuery query;
+    query.WhereIntBetween("d0", range.lo()[0], range.hi()[0]);
+    query.WhereIntBetween("d1", range.lo()[1], range.hi()[1]);
+    return static_cast<int64_t>(engine.Sum(query).value());
+  };
+  DurableOptions options;
+  options.group_commit = true;
+  {
+    auto created = DurableOlapEngine::Create(
+        schema, EngineMethod::kRelativePrefixSum, /*shards=*/2, tmp_.path(),
+        options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto engine = std::move(created).value();
+    Rng rng(8);
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(insert(*engine, rng).ok());
+    // After rotation (appends land in wal-2) and before the image
+    // write: push five more acknowledged records, then kill the write.
+    engine->set_checkpoint_write_hook([&] {
+      Rng hook_rng(9);
+      for (int i = 0; i < 5; ++i) ASSERT_TRUE(insert(*engine, hook_rng).ok());
+      Arm("io.wal.crash", fail::TriggerPolicy::Once());
+    });
+    EXPECT_FALSE(engine->Checkpoint().ok());
+    EXPECT_TRUE(fault_env::SimulatedCrashActive());
+    EXPECT_EQ(engine->generation(), 1);  // commit never happened
+  }
+
+  fault_env::ClearSimulatedCrash();
+  int64_t replayed = 0;
+  auto reopened = DurableOlapEngine::Open(
+      schema, EngineMethod::kRelativePrefixSum, /*shards=*/2, tmp_.path(),
+      options, &ThreadPool::Global(), &replayed);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  // All 25 acknowledged records were folded in: 20 from wal-1 plus
+  // the 5 orphans from the rotated wal-2.
+  EXPECT_EQ(replayed, 25);
+  // Fold-forward checkpoints the merged state past every rotated log.
+  EXPECT_EQ(reopened.value()->generation(), 3);
+  UniformQueryGen gen(shape, 43);
+  for (int trial = 0; trial < 30; ++trial) {
+    const Box range = gen.Next();
+    ASSERT_EQ(sum(*reopened.value(), range), oracle.SumBox(range));
+  }
+  ASSERT_EQ(sum(*reopened.value(), Box::All(shape)),
             oracle.SumBox(Box::All(shape)));
 }
 

@@ -265,6 +265,61 @@ TEST_F(GroupCommitTest, CheckpointDoesNotBlockConcurrentAdd) {
   EXPECT_NE(health.find("\"commit_queue_depth\":"), std::string::npos);
 }
 
+// The same pin on the durable serving engine, whose checkpoint
+// freezes a published version (S shard references) instead of cloning
+// a structure, and reads its cells back after writers are released.
+TEST_F(GroupCommitTest, DurableEngineCheckpointDoesNotBlockConcurrentAdd) {
+  constexpr int64_t kSide = 8;
+  const Schema schema("MEASURE", {Dimension::Integer("d0", 0, kSide),
+                                  Dimension::Integer("d1", 0, kSide)});
+  const auto record = [](int64_t d0, int64_t d1, double measure) {
+    OlapRecord out;
+    out.values = {d0, d1};
+    out.measure = measure;
+    return out;
+  };
+  RangeQuery all;
+  all.WhereIntBetween("d0", 0, kSide - 1);
+  all.WhereIntBetween("d1", 0, kSide - 1);
+  DurableOptions options;
+  options.group_commit = true;
+  auto created = DurableOlapEngine::Create(
+      schema, EngineMethod::kRelativePrefixSum, /*shards=*/2, tmp_.path(),
+      options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto engine = std::move(created).value();
+  ASSERT_TRUE(engine->Insert(record(1, 1, 3)).ok());
+
+  // The hook runs after rotation, before the image write: do a full
+  // durable Insert from inside the parked checkpoint. It lands in the
+  // rotated log and must finish while checkpoint_in_flight() is true.
+  std::atomic<bool> add_completed{false};
+  engine->set_checkpoint_write_hook([&] {
+    EXPECT_TRUE(engine->checkpoint_in_flight());
+    std::thread writer([&] {
+      ASSERT_TRUE(engine->Insert(record(2, 2, 5)).ok());
+      add_completed.store(true);
+    });
+    writer.join();  // completes only because writers are not blocked
+    EXPECT_TRUE(add_completed.load());
+  });
+  ASSERT_TRUE(engine->Checkpoint().ok());
+  EXPECT_TRUE(add_completed.load());
+  EXPECT_FALSE(engine->checkpoint_in_flight());
+  // The image has the pre-rotation state; the insert that ran
+  // mid-checkpoint lives in the rotated log.
+  engine->set_checkpoint_write_hook(nullptr);
+  EXPECT_EQ(engine->Sum(all).value(), 8.0);
+  EXPECT_EQ(engine->wal_records(), 1);
+
+  // Health payload reports the pipelined-checkpoint state fields.
+  const std::string health = engine->HealthJson();
+  EXPECT_NE(health.find("\"wal_generation\":"), std::string::npos);
+  EXPECT_NE(health.find("\"checkpoint_in_flight\":false"), std::string::npos);
+  EXPECT_NE(health.find("\"mode\":\"group_commit\""), std::string::npos);
+  EXPECT_NE(health.find("\"commit_queue_depth\":"), std::string::npos);
+}
+
 // DurableOlapEngine in group-commit mode: the multi-writer durable
 // ingest stress. Every Insert is durable before it returns; after a
 // crash (handle drop, no checkpoint) recovery must replay them all.
