@@ -87,8 +87,7 @@ BENCHMARK(BM_RangeQuery<HierarchicalRps<int64_t>>)
     ->Unit(benchmark::kNanosecond);
 
 // Batched evaluation vs a single-query loop over the same 64 queries:
-// the batch path sorts the corner jobs by anchor block and shares the
-// per-block anchor reads and duplicated corner assemblies.
+// the hierarchical batch path shares duplicated corner assemblies.
 template <typename Method>
 void BM_QueryBatch64(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -124,14 +123,6 @@ void BM_QueryLoop64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-BENCHMARK(BM_QueryBatch64<RelativePrefixSum<int64_t>>)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_QueryLoop64<RelativePrefixSum<int64_t>>)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_QueryBatch64<HierarchicalRps<int64_t>>)
     ->RangeMultiplier(4)
     ->Range(64, 1024)
@@ -144,7 +135,7 @@ BENCHMARK(BM_QueryLoop64<HierarchicalRps<int64_t>>)
 // Rollup-style batch: the 64 queries tile the cube 8x8 -- a GROUP BY
 // over a coarse grid, the common OLAP dashboard shape. Adjacent tiles
 // share prefix corners on the 9x9 lattice of tile boundaries, so the
-// sorted batch assembles ~81 distinct corners where the loop runs 256
+// hierarchical batch assembles ~81 distinct corners where the loop runs 256
 // independent assemblies. Queries are shuffled: arrival order does
 // not matter to the batch path.
 std::vector<Box> TiledQueries(int64_t n) {
@@ -186,14 +177,6 @@ void BM_QueryLoopTiled64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-BENCHMARK(BM_QueryBatchTiled64<RelativePrefixSum<int64_t>>)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_QueryLoopTiled64<RelativePrefixSum<int64_t>>)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_QueryBatchTiled64<HierarchicalRps<int64_t>>)
     ->RangeMultiplier(4)
     ->Range(64, 1024)

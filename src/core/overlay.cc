@@ -1,6 +1,7 @@
 #include "core/overlay.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/math.h"
 
@@ -15,9 +16,22 @@ OverlayGeometry::OverlayGeometry(const Shape& cube_shape,
   for (int j = 0; j < cube_shape.dims(); ++j) {
     RPS_CHECK_MSG(box_size[j] >= 1 && box_size[j] <= cube_shape.extent(j),
                   "overlay box side must be in [1, extent]");
+    RPS_CHECK_MSG(box_size[j] <= std::numeric_limits<int32_t>::max(),
+                  "overlay box side must fit the coordinate tables");
     grid_extents.push_back(CeilDiv(cube_shape.extent(j), box_size[j]));
   }
   grid_shape_ = Shape::FromExtents(grid_extents);
+
+  for (int j = 0; j < dims(); ++j) {
+    coord_start_[j] = static_cast<int64_t>(coords_.size());
+    const int64_t k = box_size[j];
+    for (int64_t x = 0; x < cube_shape.extent(j); ++x) {
+      const int64_t b = x / k;
+      coords_.push_back(Coord{
+          b * grid_shape_.Stride(j), static_cast<int32_t>(x - b * k),
+          static_cast<int32_t>(std::min(k, cube_shape.extent(j) - b * k))});
+    }
+  }
 
   const int64_t num_boxes = grid_shape_.num_cells();
   slot_base_.resize(static_cast<size_t>(num_boxes) + 1);
@@ -97,16 +111,11 @@ int64_t OverlayGeometry::BorderRank(const CellIndex& extents,
 
   int64_t rank = 0;
   // Skip the full groups before `first_zero`.
-  {
-    // suffix_all[i] = prod_{i' >= i} e_{i'}; computed incrementally
-    // from the back below, but we need it per group; recompute cheaply
-    // since dims() <= kMaxDims.
-    for (int g = 0; g < first_zero; ++g) {
-      int64_t size = 1;
-      for (int i = 0; i < g; ++i) size *= extents[i] - 1;
-      for (int i = g + 1; i < dims(); ++i) size *= extents[i];
-      rank += size;
-    }
+  for (int g = 0; g < first_zero; ++g) {
+    int64_t size = 1;
+    for (int i = 0; i < g; ++i) size *= extents[i] - 1;
+    for (int i = g + 1; i < dims(); ++i) size *= extents[i];
+    rank += size;
   }
   // Mixed-radix rank inside the group.
   int64_t within = 0;

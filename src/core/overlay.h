@@ -6,8 +6,9 @@
 // box having at least one coordinate equal to the anchor's are stored
 // -- the anchor cell plus the border cells, k^d - (k-1)^d cells per
 // box (Figure 6). OverlayGeometry maps (box, in-box offset) to a slot
-// in a flat value vector in O(d) with no search; Overlay<T> adds the
-// value storage.
+// in a flat value vector in O(d) with no search, and maps a prefix
+// lookup's target to the slots it reads with per-dimension tables and
+// no division; Overlay<T> adds the value storage.
 //
 // Stored-value semantics (d-dimensional; see DESIGN.md Section 1):
 // for overlay cell c of the box anchored at a, with
@@ -22,6 +23,8 @@
 #ifndef RPS_CORE_OVERLAY_H_
 #define RPS_CORE_OVERLAY_H_
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cube/box.h"
@@ -82,6 +85,21 @@ class OverlayGeometry {
     return slot_base_[static_cast<size_t>(box_linear)];
   }
 
+  /// The cells the prefix lookup of `target` reads (Figure 12): the
+  /// anchor value of its box and its RP cell, returned, and one border
+  /// value per nonempty subset of the dimensions where the target is
+  /// past the anchor (not the full set when that is every dimension:
+  /// that cell is RP[t]), passed to `border(slot)` in subset-mask
+  /// order. `target` holds dims() in-range coordinates. Table reads
+  /// and adds only; kDims > 0 fixes d at compile time (it must equal
+  /// dims()), 0 reads it at run time.
+  struct CornerCells {
+    int64_t anchor_slot;
+    int64_t rp_cell;  // row-major index into the cube
+  };
+  template <int kDims = 0, typename BorderFn>
+  CornerCells Corner(const int64_t* target, BorderFn&& border) const;
+
   /// Self-audit of the geometry bookkeeping: grid extents, slot-base
   /// monotonicity, and (for up to `max_boxes` boxes) that SlotOf is a
   /// bijection from a box's stored cells onto its slot range. Returns
@@ -89,6 +107,14 @@ class OverlayGeometry {
   Status CheckInvariants(int64_t max_boxes = 256) const;
 
  private:
+  // Where coordinate x of dimension j sits in the box grid: 16 bytes
+  // per coordinate, sum(n_j) entries.
+  struct Coord {
+    int64_t box_part;  // (x / k_j) * grid stride of j
+    int32_t offset;    // x - anchor_j
+    int32_t extent;    // clipped side of x's box along j
+  };
+
   // Rank of `offsets` among the stored cells of a box with extents
   // `extents`, in row-major offset order restricted to stored cells.
   int64_t BorderRank(const CellIndex& extents,
@@ -101,17 +127,83 @@ class OverlayGeometry {
   // slot_base_[num_boxes] = total_stored_cells_.
   std::vector<int64_t> slot_base_;
   int64_t total_stored_cells_;
+  // coords_[coord_start_[j] + x] describes coordinate x of dimension j.
+  std::vector<Coord> coords_;
+  int64_t coord_start_[kMaxDims] = {};
 };
+
+template <int kDims, typename BorderFn>
+OverlayGeometry::CornerCells OverlayGeometry::Corner(
+    const int64_t* target, BorderFn&& border) const {
+  static_assert(kDims >= 0 && kDims <= kMaxDims);
+  const int d = kDims > 0 ? kDims : dims();
+  RPS_DCHECK(d == dims());
+  const Coord* at[kMaxDims];
+  int64_t box = 0;
+  int64_t rp_cell = 0;
+  for (int j = 0; j < d; ++j) {
+    RPS_DCHECK(target[j] >= 0 && target[j] < cube_shape_.extent(j));
+    at[j] = &coords_[static_cast<size_t>(coord_start_[j] + target[j])];
+    box += at[j]->box_part;
+    rp_cell = rp_cell * cube_shape_.extent(j) + target[j];
+  }
+  const int64_t base = slot_base_[static_cast<size_t>(box)];
+  if constexpr (kDims == 2) {
+    // The closed form below at d = 2.
+    if (at[0]->offset > 0) border(base + at[1]->extent + at[0]->offset - 1);
+    if (at[1]->offset > 0) border(base + at[1]->offset);
+  } else {
+    // BorderRank (overlay.cc) in closed form. For a subset S of the
+    // dimensions past the anchor, g the first dimension not in S (so
+    // every dimension before g is in S), and suffix[j] = prod_{i>j} e_i:
+    //   rank = start[g] + suffix[g] * head[g]
+    //          + sum_{j in S, j > g} o_j * suffix[j],
+    // where start[g] = sum_{g'<g} prod_{i<g'} (e_i - 1) * suffix[g']
+    // skips the groups before g and head[g] is the mixed-radix number
+    // (o_0 - 1, ..., o_{g-1} - 1) with radices (e_0 - 1, ..., e_{g-1} - 1).
+    int64_t suffix[kMaxDims];
+    int64_t start[kMaxDims];
+    int64_t head[kMaxDims];
+    suffix[d - 1] = 1;
+    for (int j = d - 1; j > 0; --j) suffix[j - 1] = suffix[j] * at[j]->extent;
+    int64_t skipped = 0;
+    int64_t group_scale = 1;  // prod_{i<g} (e_i - 1)
+    int64_t radix = 0;
+    uint32_t past = 0;  // the dimensions where the target is past the anchor
+    for (int g = 0; g < d; ++g) {
+      start[g] = skipped;
+      head[g] = radix;
+      skipped += group_scale * suffix[g];
+      group_scale *= at[g]->extent - 1;
+      radix = radix * (at[g]->extent - 1) + (at[g]->offset - 1);
+      if (at[g]->offset > 0) past |= 1u << g;
+    }
+    // Nonempty subsets of `past` in increasing order: subset-mask order.
+    for (uint32_t subset = past & (0u - past); subset != 0;
+         subset = (subset - past) & past) {
+      if (subset == (1u << d) - 1) continue;  // that cell is RP[t]
+      const int g = __builtin_ctz(~subset);
+      int64_t rank = start[g] + suffix[g] * head[g];
+      for (uint32_t rest = subset >> g; rest != 0; rest &= rest - 1) {
+        const int j = g + __builtin_ctz(rest);
+        rank += at[j]->offset * suffix[j];
+      }
+      border(base + rank);
+    }
+  }
+  return {base, rp_cell};
+}
 
 /// Overlay value storage on top of OverlayGeometry.
 template <typename T>
 class Overlay {
  public:
   Overlay(const Shape& cube_shape, const CellIndex& box_size)
-      : geometry_(cube_shape, box_size),
-        values_(static_cast<size_t>(geometry_.total_stored_cells()), T{}) {}
+      : geometry_(std::make_shared<const OverlayGeometry>(cube_shape,
+                                                          box_size)),
+        values_(static_cast<size_t>(geometry_->total_stored_cells()), T{}) {}
 
-  const OverlayGeometry& geometry() const { return geometry_; }
+  const OverlayGeometry& geometry() const { return *geometry_; }
 
   const T& at_slot(int64_t slot) const {
     RPS_DCHECK(slot >= 0 &&
@@ -127,10 +219,10 @@ class Overlay {
   /// Value of the stored cell with in-box `offsets` of box
   /// `box_index`.
   const T& at(const CellIndex& box_index, const CellIndex& offsets) const {
-    return at_slot(geometry_.SlotOf(box_index, offsets));
+    return at_slot(geometry_->SlotOf(box_index, offsets));
   }
   T& at(const CellIndex& box_index, const CellIndex& offsets) {
-    return at_slot(geometry_.SlotOf(box_index, offsets));
+    return at_slot(geometry_->SlotOf(box_index, offsets));
   }
 
   /// Pointer to `len` consecutive slots starting at `slot`, for the
@@ -158,7 +250,8 @@ class Overlay {
   }
 
  private:
-  OverlayGeometry geometry_;
+  // Immutable, so copies (structure clones) share it.
+  std::shared_ptr<const OverlayGeometry> geometry_;
   std::vector<T> values_;
 };
 

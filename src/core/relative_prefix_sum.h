@@ -208,16 +208,10 @@ class RelativePrefixSum final : public QueryMethod<T> {
 
   T RangeSum(const Box& range) const override;
 
-  /// Batched range sums (Section 4.1 costs, amortized): each query
-  /// expands to its signed prefix-sum corners, the corners are sorted
-  /// by covering box, and every box group reads its anchor value once
-  /// and assembles each distinct corner once -- queries hitting the
-  /// same box share the anchor read, duplicated corners (adjacent or
-  /// identical queries) share the whole border walk. Batches whose
-  /// estimated cell reads clear ParallelPolicy::min_parallel_cells
-  /// run chunks of queries on the pool; chunk boundaries depend only
-  /// on the batch size, so results are deterministic (and bit-exact
-  /// for integral T).
+  /// The RangeSum of every box, in order, with the same cell reads and
+  /// additions (so bit-identical answers for every T). Batches whose
+  /// estimated cell reads clear ParallelPolicy::min_parallel_cells run
+  /// chunks of queries on the pool.
   void RangeSumBatch(std::span<const Box> ranges,
                      std::span<T> results) const override;
 
@@ -314,29 +308,25 @@ class RelativePrefixSum final : public QueryMethod<T> {
   // prefix array (build step; boxes are independent of each other).
   void FillOverlayBox(const NdArray<T>& prefix, const CellIndex& box_index);
 
-  // Sum of the border values of the projections of `target` onto the
-  // anchor faces of its box -- the PrefixSum assembly minus the
-  // anchor value and the RP cell. Adds the overlay cells read to
-  // *overlay_reads (callers batch the counter updates).
-  T SumBorders(const CellIndex& box_index, const CellIndex& anchor,
-               const CellIndex& target, int64_t* overlay_reads) const;
+  // Publishes the reads of one or more lookups, counted locally.
+  void Publish(const LookupStats& reads) const {
+    lookups_.overlay_reads.Increment(reads.overlay_reads);
+    lookups_.rp_reads.Increment(reads.rp_reads);
+  }
 
-  // One signed prefix-sum corner of a batched query. The corner's
-  // CellIndex lives in a side vector (referenced by `corner`) so the
-  // job stays 32 bytes and the walk never re-derives coordinates by
-  // division.
-  struct CornerJob {
-    int64_t box_linear;   // covering box, grid-linearized (sort key 1)
-    int64_t cell_linear;  // corner cell, cube-linearized (sort key 2)
-    int32_t corner;       // index into the chunk's corner-cell vector
-    int32_t query;        // index into ranges/results
-    int8_t sign;          // +1 or -1 (inclusion-exclusion parity)
-  };
+  // The Figure 12 assembly of P[target], every query path's one
+  // lookup: (anchor + RP[t]) + (0 + borders in subset-mask order).
+  // kDims as in OverlayGeometry::Corner.
+  template <int kDims>
+  T PrefixAt(const int64_t* target, LookupStats* reads) const;
 
-  // Evaluates queries [lo, hi) of a batch into results (disjoint
-  // writes per chunk, safe to run concurrently on disjoint ranges).
-  void EvalBatchChunk(std::span<const Box> ranges, std::span<T> results,
-                      int64_t lo, int64_t hi) const;
+  // Inclusion-exclusion over the 2^d corners of `range`, in corner
+  // mask order; d = 2 takes the compile-time instance.
+  T SumOf(const Box& range, LookupStats* reads) const {
+    return rp_.dims() == 2 ? SumOf<2>(range, reads) : SumOf<0>(range, reads);
+  }
+  template <int kDims>
+  T SumOf(const Box& range, LookupStats* reads) const;
 
   // Adds `delta` to every RP cell of `affected` (the tail of the
   // covering box dominating the updated cell), one row kernel per
@@ -476,72 +466,38 @@ void RelativePrefixSum<T>::FillOverlayBox(const NdArray<T>& prefix,
 
 template <typename T>
 T RelativePrefixSum<T>::PrefixSum(const CellIndex& target) const {
-  const OverlayGeometry& geo = overlay_.geometry();
   RPS_DCHECK(rp_.shape().Contains(target));
-
-  const CellIndex box_index = geo.BoxIndexOf(target);
-  const CellIndex anchor = geo.AnchorOf(box_index);
-
-  // Anchor value + RP cell + border values. The cell-read counters
-  // are accumulated locally and published with one relaxed add each,
-  // keeping the hot path at two atomic ops per assembly.
-  int64_t overlay_reads = 1;
-  T total = overlay_.at_slot(geo.AnchorSlotOf(box_index)) + rp_.at(target);
-  total += SumBorders(box_index, anchor, target, &overlay_reads);
-  lookups_.overlay_reads.Increment(overlay_reads);
-  lookups_.rp_reads.Increment();
+  int64_t at[kMaxDims];
+  for (int j = 0; j < target.dims(); ++j) at[j] = target[j];
+  LookupStats reads;
+  const T total =
+      rp_.dims() == 2 ? PrefixAt<2>(at, &reads) : PrefixAt<0>(at, &reads);
+  Publish(reads);
   return total;
 }
 
 template <typename T>
-T RelativePrefixSum<T>::SumBorders(const CellIndex& box_index,
-                                   const CellIndex& anchor,
-                                   const CellIndex& target,
-                                   int64_t* overlay_reads) const {
-  const int d = rp_.dims();
-  // One border value per nonempty proper subset of the dimensions
-  // where the target exceeds the anchor.
-  int above[kMaxDims];
-  int num_above = 0;
-  for (int j = 0; j < d; ++j) {
-    if (target[j] > anchor[j]) above[num_above++] = j;
-  }
-  T total{};
-  if (num_above == 0) return total;
-
-  const uint32_t full = 1u << num_above;
-  CellIndex offsets = CellIndex::Filled(d, 0);
-  for (uint32_t mask = 1; mask < full; ++mask) {
-    if (num_above == d && mask == full - 1) continue;  // that cell is RP[t]
-    for (int j = 0; j < d; ++j) offsets[j] = 0;
-    for (int i = 0; i < num_above; ++i) {
-      if (mask & (1u << i)) {
-        const int j = above[i];
-        offsets[j] = target[j] - anchor[j];
-      }
-    }
-    total += overlay_.at(box_index, offsets);
-    ++*overlay_reads;
-  }
-  return total;
+template <int kDims>
+T RelativePrefixSum<T>::PrefixAt(const int64_t* target,
+                                 LookupStats* reads) const {
+  T borders{};
+  const OverlayGeometry::CornerCells cells =
+      overlay_.geometry().template Corner<kDims>(target, [&](int64_t slot) {
+        borders += overlay_.at_slot(slot);
+        ++reads->overlay_reads;
+      });
+  ++reads->overlay_reads;
+  ++reads->rp_reads;
+  return (overlay_.at_slot(cells.anchor_slot) + rp_.at_linear(cells.rp_cell)) +
+         borders;
 }
 
 template <typename T>
-T RelativePrefixSum<T>::RangeSum(const Box& range) const {
-  // Structure-level operation count; composite structures
-  // (HierarchicalRps faces) show up here too. One relaxed add amid
-  // the ~2^d per-cell lookup increments, so the hot path stays flat.
-  static obs::Counter& queries =
-      obs::MetricRegistry::Global().GetCounter("rps_core_rps_queries_total");
-  queries.Increment();
-  // Tree node for slow-query capture: one thread-local load when no
-  // collector is active, so the always-on cost stays flat.
-  obs::CollectorSpan span("core.rps.range_sum");
-  const Shape& shape = rp_.shape();
-  RPS_CHECK(range.Within(shape));
-  const int d = shape.dims();
+template <int kDims>
+T RelativePrefixSum<T>::SumOf(const Box& range, LookupStats* reads) const {
+  const int d = kDims > 0 ? kDims : rp_.dims();
   T total{};
-  CellIndex corner = CellIndex::Filled(d, 0);
+  int64_t corner[kMaxDims];
   for (uint32_t mask = 0; mask < (1u << d); ++mask) {
     bool skip = false;
     int low_picks = 0;
@@ -549,7 +505,7 @@ T RelativePrefixSum<T>::RangeSum(const Box& range) const {
       if (mask & (1u << j)) {
         ++low_picks;
         if (range.lo()[j] == 0) {
-          skip = true;
+          skip = true;  // empty prefix below index 0
           break;
         }
         corner[j] = range.lo()[j] - 1;
@@ -559,11 +515,28 @@ T RelativePrefixSum<T>::RangeSum(const Box& range) const {
     }
     if (skip) continue;
     if (low_picks % 2 == 0) {
-      total += PrefixSum(corner);
+      total += PrefixAt<kDims>(corner, reads);
     } else {
-      total -= PrefixSum(corner);
+      total -= PrefixAt<kDims>(corner, reads);
     }
   }
+  return total;
+}
+
+template <typename T>
+T RelativePrefixSum<T>::RangeSum(const Box& range) const {
+  // Structure-level operation count; composite structures
+  // (HierarchicalRps faces) show up here too.
+  static obs::Counter& queries =
+      obs::MetricRegistry::Global().GetCounter("rps_core_rps_queries_total");
+  queries.Increment();
+  // Tree node for slow-query capture: one thread-local load when no
+  // collector is active, so the always-on cost stays flat.
+  obs::CollectorSpan span("core.rps.range_sum");
+  RPS_CHECK(range.Within(rp_.shape()));
+  LookupStats reads;
+  const T total = SumOf(range, &reads);
+  Publish(reads);
   return total;
 }
 
@@ -578,106 +551,25 @@ void RelativePrefixSum<T>::RangeSumBatch(std::span<const Box> ranges,
   queries.Increment(n);
   obs::CollectorSpan span("core.rps.range_sum_batch");
 
+  // Chunks write disjoint results, so they run concurrently.
+  const auto sum_chunk = [&](int64_t lo, int64_t hi) {
+    LookupStats reads;
+    for (int64_t q = lo; q < hi; ++q) {
+      const Box& range = ranges[static_cast<size_t>(q)];
+      RPS_CHECK(range.Within(rp_.shape()));
+      results[static_cast<size_t>(q)] = SumOf(range, &reads);
+    }
+    Publish(reads);
+  };
   // Estimated cell reads: 2^d corners with roughly 2^d reads each.
-  const int d = rp_.dims();
-  const int shift = std::min(2 * d, 20);
+  const int shift = std::min(2 * rp_.dims(), 20);
   if (pool_ != nullptr && (n << shift) >= policy_.min_parallel_cells) {
     const int64_t grain =
         std::max<int64_t>(1, policy_.min_parallel_cells >> shift);
-    pool_->ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      EvalBatchChunk(ranges, results, lo, hi);
-    });
+    pool_->ParallelFor(0, n, grain, sum_chunk);
   } else {
-    EvalBatchChunk(ranges, results, 0, n);
+    sum_chunk(0, n);
   }
-}
-
-template <typename T>
-void RelativePrefixSum<T>::EvalBatchChunk(std::span<const Box> ranges,
-                                          std::span<T> results, int64_t lo,
-                                          int64_t hi) const {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& shape = rp_.shape();
-  const Shape& grid = geo.grid_shape();
-  const int d = shape.dims();
-
-  // Expand every query into its signed prefix-sum corners. The
-  // coordinates computed here are kept (not re-derived from the
-  // linear keys later): Delinearize costs a division per dimension,
-  // which dominated the walk in profiling.
-  std::vector<CornerJob> jobs;
-  std::vector<CellIndex> corners;
-  jobs.reserve(static_cast<size_t>(hi - lo) << d);
-  corners.reserve(static_cast<size_t>(hi - lo) << d);
-  CellIndex corner = CellIndex::Filled(d, 0);
-  for (int64_t q = lo; q < hi; ++q) {
-    const Box& range = ranges[static_cast<size_t>(q)];
-    RPS_CHECK(range.Within(shape));
-    results[static_cast<size_t>(q)] = T{};
-    for (uint32_t mask = 0; mask < (1u << d); ++mask) {
-      bool skip = false;
-      int low_picks = 0;
-      for (int j = 0; j < d; ++j) {
-        if (mask & (1u << j)) {
-          ++low_picks;
-          if (range.lo()[j] == 0) {
-            skip = true;  // empty prefix below index 0
-            break;
-          }
-          corner[j] = range.lo()[j] - 1;
-        } else {
-          corner[j] = range.hi()[j];
-        }
-      }
-      if (skip) continue;
-      jobs.push_back(CornerJob{grid.Linearize(geo.BoxIndexOf(corner)),
-                               shape.Linearize(corner),
-                               static_cast<int32_t>(corners.size()),
-                               static_cast<int32_t>(q),
-                               static_cast<int8_t>(low_picks % 2 ? -1 : 1)});
-      corners.push_back(corner);
-    }
-  }
-  std::sort(jobs.begin(), jobs.end(),
-            [](const CornerJob& a, const CornerJob& b) {
-              if (a.box_linear != b.box_linear) {
-                return a.box_linear < b.box_linear;
-              }
-              return a.cell_linear < b.cell_linear;
-            });
-
-  // Walk box groups: one anchor read per box, one full assembly per
-  // distinct corner cell, one signed scatter per job.
-  int64_t overlay_reads = 0;
-  int64_t rp_reads = 0;
-  size_t i = 0;
-  while (i < jobs.size()) {
-    const int64_t box_linear = jobs[i].box_linear;
-    const CellIndex box_index =
-        geo.BoxIndexOf(corners[static_cast<size_t>(jobs[i].corner)]);
-    const CellIndex anchor = geo.AnchorOf(box_index);
-    const T anchor_value = overlay_.at_slot(geo.AnchorSlotOf(box_index));
-    ++overlay_reads;
-    while (i < jobs.size() && jobs[i].box_linear == box_linear) {
-      const int64_t cell_linear = jobs[i].cell_linear;
-      const CellIndex& target = corners[static_cast<size_t>(jobs[i].corner)];
-      T value = anchor_value + rp_.at_linear(cell_linear);
-      ++rp_reads;
-      value += SumBorders(box_index, anchor, target, &overlay_reads);
-      for (; i < jobs.size() && jobs[i].box_linear == box_linear &&
-             jobs[i].cell_linear == cell_linear;
-           ++i) {
-        T& out = results[static_cast<size_t>(jobs[i].query)];
-        if (jobs[i].sign > 0) {
-          out += value;
-        } else {
-          out -= value;
-        }
-      }
-    }
-  }
-  lookups_.overlay_reads.Increment(overlay_reads);
-  lookups_.rp_reads.Increment(rp_reads);
 }
 
 template <typename T>

@@ -32,7 +32,7 @@ struct GroupRow {
 /// SUM/COUNT of `query`'s range grouped by each slot of `dimension`
 /// (restricted to the query's range on that dimension). One batched
 /// range sum per slot: O(extent * 2^d) lookups with the RPS/PS
-/// engines, fewer where neighbouring slots share corners.
+/// engines, fewer with HierarchicalRps, which shares their corners.
 Result<std::vector<GroupRow>> GroupBy(const ShardedOlapEngine& engine,
                                       const RangeQuery& query,
                                       const std::string& dimension);

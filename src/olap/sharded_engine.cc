@@ -266,6 +266,9 @@ void ShardedOlapEngine::BuildAndPublish(const DenseShards& dense) {
     next->shards.push_back(std::move(state));
   }
   Publish(next);
+  // Publish's Reclaim cannot free the version just retired, and a
+  // read-only phase would keep it. Drain stops at a pinned reader.
+  domain_->Drain();
   publish_seconds_->ObserveNanos(watch.ElapsedNanos());
 }
 

@@ -26,8 +26,8 @@
 // Composed operators -- rolling windows, GROUP BY, cross-tabs and the
 // window series in olap/group_by.h and olap/window.h -- are therefore
 // snapshot-consistent under concurrent writers. Multi-box operators
-// hand each shard's sub-boxes to QueryMethod::RangeSumBatch, so boxes
-// that share corners share their prefix lookups. Updates cost one
+// hand each shard's sub-boxes to one QueryMethod::RangeSumBatch call
+// (HierarchicalRps shares corners across it). Updates cost one
 // clone of the touched shards per batch, which is why writers batch:
 // the clone is amortized across the batch, and untouched shards are
 // shared structurally between versions.

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <regex>
 #include <utility>
 
 #include "storage/fault_env.h"
@@ -72,6 +73,21 @@ Result<std::unique_ptr<GenerationStore>> GenerationStore::Create(
     const std::string& directory, const LogGeometry& log,
     uint32_t fingerprint, const ImageWriter& write_image,
     const DurableOptions& options) {
+  // A new store owns its directory: Open would fold an earlier store's
+  // logs above generation 1 in as orphans.
+  const std::regex store_file(
+      R"(snapshot-\d+\.bin|wal-\d+\.log|CURRENT\.tmp)");
+  std::error_code error;
+  for (std::filesystem::directory_iterator it(directory, error), end;
+       !error && it != end; it.increment(error)) {
+    if (std::regex_match(it->path().filename().string(), store_file)) {
+      RPS_RETURN_IF_ERROR(fault_env::Remove(it->path().string()));
+    }
+  }
+  if (error) {
+    return Status::IoError("cannot list " + directory + ": " +
+                           error.message());
+  }
   std::unique_ptr<GenerationStore> store(
       new GenerationStore(directory, 1, fingerprint, log, options));
   RPS_RETURN_IF_ERROR(write_image(store->ImagePath(1)));

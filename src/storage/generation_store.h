@@ -94,7 +94,8 @@ class GenerationStore {
 
   /// Commits generation 1 in `directory` (which must exist): the image
   /// from `write_image`, an empty log, and a manifest recording
-  /// `fingerprint` and `log`.
+  /// `fingerprint` and `log`. First removes every snapshot-N.bin,
+  /// wal-N.log and CURRENT.tmp an earlier store left there.
   static Result<std::unique_ptr<GenerationStore>> Create(
       const std::string& directory, const LogGeometry& log,
       uint32_t fingerprint, const ImageWriter& write_image,

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/relative_prefix_sum.h"
 #include "storage/paged_array.h"
@@ -204,38 +205,20 @@ class PagedRps {
   const OverlayGeometry& geometry() const { return geometry_; }
   bool overlay_on_disk() const { return overlay_ram_ == nullptr; }
 
-  /// P[t] assembled exactly as in RelativePrefixSum::PrefixSum, with
-  /// RP (and optionally overlay) reads going through the pool.
+  /// P[t] assembled from the cells RelativePrefixSum::PrefixSum reads
+  /// (OverlayGeometry::Corner), with RP (and optionally overlay) reads
+  /// going through the pool.
   Result<T> PrefixSum(const CellIndex& target) const {
-    const int d = shape().dims();
-    const CellIndex box_index = geometry_.BoxIndexOf(target);
-    const CellIndex anchor = geometry_.AnchorOf(box_index);
-
-    RPS_ASSIGN_OR_RETURN(T total,
-                         ReadOverlaySlot(geometry_.AnchorSlotOf(box_index)));
+    int64_t at[kMaxDims];
+    for (int j = 0; j < target.dims(); ++j) at[j] = target[j];
+    std::vector<int64_t> borders;
+    const OverlayGeometry::CornerCells cells = geometry_.Corner(
+        at, [&](int64_t slot) { borders.push_back(slot); });
+    RPS_ASSIGN_OR_RETURN(T total, ReadOverlaySlot(cells.anchor_slot));
     RPS_ASSIGN_OR_RETURN(const T rp, rp_pages_->Get(target));
     total += rp;
-
-    int above[kMaxDims];
-    int num_above = 0;
-    for (int j = 0; j < d; ++j) {
-      if (target[j] > anchor[j]) above[num_above++] = j;
-    }
-    if (num_above == 0) return total;
-    const uint32_t full = 1u << num_above;
-    CellIndex offsets = CellIndex::Filled(d, 0);
-    for (uint32_t mask = 1; mask < full; ++mask) {
-      if (num_above == d && mask == full - 1) continue;
-      for (int j = 0; j < d; ++j) offsets[j] = 0;
-      for (int i = 0; i < num_above; ++i) {
-        if (mask & (1u << i)) {
-          const int j = above[i];
-          offsets[j] = target[j] - anchor[j];
-        }
-      }
-      RPS_ASSIGN_OR_RETURN(const T border,
-                           ReadOverlaySlot(geometry_.SlotOf(box_index,
-                                                            offsets)));
+    for (const int64_t slot : borders) {
+      RPS_ASSIGN_OR_RETURN(const T border, ReadOverlaySlot(slot));
       total += border;
     }
     return total;

@@ -109,8 +109,8 @@ WorkloadReport RunParallelQueryWorkload(const QueryMethod<int64_t>& method,
   } shared;
   const int64_t total = static_cast<int64_t>(ranges.size());
   auto run_range = [&](int64_t lo, int64_t hi) {
-    // Each chunk is answered as one batch, so the structure shares
-    // block-level work between its queries; a nested ParallelFor
+    // Each chunk is answered as one batch (HierarchicalRps shares
+    // corners between its queries); a nested ParallelFor
     // inside RangeSumBatch runs inline on this worker. The histogram
     // gets the batch-average per-query latency.
     std::vector<int64_t> sums(static_cast<size_t>(hi - lo));

@@ -1,10 +1,13 @@
 // RangeSumBatch conformance: for every method the batched path must
-// agree with the per-query RangeSum loop -- including the sorted,
-// shared-anchor RPS evaluation, the deduplicating hierarchical
-// evaluation, the base-class fallback, and the pool-parallel chunking
-// (forced by lowering min_parallel_cells).
+// agree with the per-query RangeSum loop -- including the RPS batch
+// (a chunked loop of the single-query lookup, so bit-identical even
+// for double), the deduplicating hierarchical evaluation, the
+// base-class fallback, and the pool-parallel chunking (forced by
+// lowering min_parallel_cells).
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -118,7 +121,8 @@ TEST(BatchQueryTest, BatchCountsLookupsLikeTheLoop) {
   for (const Box& query : queries) (void)rps.RangeSum(query);
   const auto loop_stats = rps.lookup_stats();
 
-  // Sharing can only reduce reads, and both paths read something.
+  // The batch runs the loop's lookups, so it reads what the loop
+  // reads (never more), and both paths read something.
   EXPECT_GT(batch_stats.total(), 0);
   EXPECT_LE(batch_stats.overlay_reads, loop_stats.overlay_reads);
   EXPECT_LE(batch_stats.rp_reads, loop_stats.rp_reads);
@@ -163,6 +167,88 @@ TEST(BatchQueryTest, EngineQueryBatch) {
   bad.WhereIntBetween("nope", 0, 1);
   queries.push_back(bad);
   EXPECT_FALSE(engine.QueryBatch(queries).ok());
+}
+
+// Cent-valued measures: double addition is not associative, so a
+// batch must add the cells RangeSum adds in RangeSum's order to give
+// the same bits.
+double Cents(Rng& rng) {
+  return static_cast<double>(rng.UniformInt(1, 100000)) / 100.0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(BatchQueryTest, BatchAndSingleAgreeBitwiseOnNonIntegralMeasures) {
+  const Shape shape = Shape::FromExtents({64, 48});
+  NdArray<double> cube(shape, 0.0);
+  Rng rng(53);
+  for (int64_t i = 0; i < shape.num_cells(); ++i) {
+    cube.at_linear(i) = Cents(rng);
+  }
+  const RelativePrefixSum<double> rps(cube);
+  const std::vector<Box> queries = MakeQueries(shape, 2000, 59);
+  std::vector<double> batch(queries.size());
+  rps.RangeSumBatch(queries, batch);
+  int differing = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!SameBits(batch[i], rps.RangeSum(queries[i]))) ++differing;
+  }
+  EXPECT_EQ(differing, 0);
+}
+
+TEST(BatchQueryTest, EngineBatchesAgreeBitwiseWithSum) {
+  const Schema schema("SALES", {Dimension::Integer("x", 0, 48),
+                                Dimension::Integer("y", 0, 40)});
+  Rng rng(61);
+  std::vector<OlapRecord> records;
+  for (int i = 0; i < 4000; ++i) {
+    records.push_back(OlapRecord{{FieldValue(rng.UniformInt(0, 47)),
+                                  FieldValue(rng.UniformInt(0, 39))},
+                                 Cents(rng)});
+  }
+  std::vector<RangeQuery> queries;
+  for (int i = 0; i < 300; ++i) {
+    const int64_t x0 = rng.UniformInt(0, 47);
+    const int64_t y0 = rng.UniformInt(0, 39);
+    queries.push_back(RangeQuery()
+                          .WhereIntBetween("x", x0, rng.UniformInt(x0, 47))
+                          .WhereIntBetween("y", y0, rng.UniformInt(y0, 39)));
+  }
+  for (const int shards : {1, 3}) {
+    ShardedOlapEngine engine(schema, EngineMethod::kRelativePrefixSum, shards,
+                             nullptr);
+    ASSERT_EQ(engine.Load(records).accepted, 4000);
+
+    const Result<std::vector<double>> batch = engine.QueryBatch(queries);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    int differing = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!SameBits(batch.value()[i], engine.Sum(queries[i]).value())) {
+        ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 0) << "QueryBatch, shards=" << shards;
+
+    // Rolling windows of 5 along y over x in [3, 40].
+    const Result<std::vector<double>> rolling = engine.RollingSum(
+        RangeQuery().WhereIntBetween("x", 3, 40), "y", 5);
+    ASSERT_TRUE(rolling.ok()) << rolling.status().ToString();
+    ASSERT_EQ(rolling.value().size(), 40u);
+    differing = 0;
+    for (int64_t p = 0; p < 40; ++p) {
+      const RangeQuery window =
+          RangeQuery()
+              .WhereIntBetween("x", 3, 40)
+              .WhereIntBetween("y", std::max<int64_t>(0, p - 4), p);
+      if (!SameBits(rolling.value()[static_cast<size_t>(p)],
+                    engine.Sum(window).value())) {
+        ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 0) << "RollingSum, shards=" << shards;
+  }
 }
 
 // The concurrent serving configuration: three shards, so every batch

@@ -1,7 +1,9 @@
 // Unit tests for OverlayGeometry: box grid arithmetic, clipped edge
-// boxes, and the compact slot mapping (bijective, dense, anchor-first).
+// boxes, the compact slot mapping (bijective, dense, anchor-first),
+// and the table-driven corner lookup.
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +93,57 @@ TEST(OverlayGeometryTest, SlotMappingIsBijective) {
   EXPECT_EQ(static_cast<int64_t>(seen.size()), geo.total_stored_cells());
   EXPECT_EQ(*seen.begin(), 0);
   EXPECT_EQ(*seen.rbegin(), geo.total_stored_cells() - 1);
+}
+
+TEST(OverlayGeometryTest, CornerReadsEveryBorderProjectionInMaskOrder) {
+  // For every target, Corner must name the anchor slot, the RP cell
+  // and SlotOf of each border projection in subset-mask order -- in
+  // full and clipped boxes, for k = 1 and k = n, through the runtime-d
+  // instance and (d = 2) the compile-time one.
+  const std::vector<std::pair<Shape, CellIndex>> cases = {
+      {Shape{10}, CellIndex{4}},         {Shape{10, 7}, CellIndex{4, 3}},
+      {Shape{9, 9}, CellIndex{3, 3}},    {Shape{6, 5}, CellIndex{1, 5}},
+      {Shape{7, 5, 6}, CellIndex{3, 2, 4}},
+      {Shape{5, 4, 3, 6}, CellIndex{2, 3, 2, 4}}};
+  for (const auto& [shape, box_size] : cases) {
+    const OverlayGeometry geo(shape, box_size);
+    const int d = shape.dims();
+    CellIndex t = CellIndex::Filled(d, 0);
+    do {
+      const CellIndex box_index = geo.BoxIndexOf(t);
+      const CellIndex anchor = geo.AnchorOf(box_index);
+      int above[kMaxDims];
+      int num_above = 0;
+      for (int j = 0; j < d; ++j) {
+        if (t[j] > anchor[j]) above[num_above++] = j;
+      }
+      std::vector<int64_t> expected;
+      for (uint32_t mask = 1; mask < (1u << num_above); ++mask) {
+        if (num_above == d && mask + 1 == (1u << num_above)) continue;
+        CellIndex offsets = CellIndex::Filled(d, 0);
+        for (int i = 0; i < num_above; ++i) {
+          const int j = above[i];
+          if (mask & (1u << i)) offsets[j] = t[j] - anchor[j];
+        }
+        expected.push_back(geo.SlotOf(box_index, offsets));
+      }
+      int64_t target[kMaxDims];
+      for (int j = 0; j < d; ++j) target[j] = t[j];
+      std::vector<int64_t> got;
+      const auto record = [&](int64_t slot) { got.push_back(slot); };
+      OverlayGeometry::CornerCells cells = geo.Corner(target, record);
+      EXPECT_EQ(got, expected) << t.ToString();
+      EXPECT_EQ(cells.anchor_slot, geo.AnchorSlotOf(box_index));
+      EXPECT_EQ(cells.rp_cell, shape.Linearize(t));
+      if (d == 2) {
+        got.clear();
+        cells = geo.Corner<2>(target, record);
+        EXPECT_EQ(got, expected) << t.ToString();
+        EXPECT_EQ(cells.anchor_slot, geo.AnchorSlotOf(box_index));
+        EXPECT_EQ(cells.rp_cell, shape.Linearize(t));
+      }
+    } while (NextIndex(shape, t));
+  }
 }
 
 TEST(OverlayGeometryTest, BoxSizeOneStoresEverything) {

@@ -215,6 +215,29 @@ TEST(ShardedEngineTest, IsolatedDomainDrainsOnDestruction) {
   EXPECT_EQ(domain.RetiredCount(), 0);
 }
 
+TEST(ShardedEngineTest, LoadFreesTheVersionItReplaces) {
+  EpochDomain domain;
+  ShardedOlapEngine engine(TwoDee(6, 6), EngineMethod::kRelativePrefixSum, 2,
+                           nullptr, &domain);
+  ASSERT_EQ(engine.Load({Rec(0, 0, 1)}).accepted, 1);
+  // No reader is pinned, so the replaced version is already freed.
+  EXPECT_EQ(domain.RetiredCount(), 0);
+  {
+    // A reader pinned across a Load keeps the version it pinned,
+    // readable, until it unpins.
+    const ShardedOlapEngine::ReadView view(engine, "test.pinned_read");
+    ASSERT_EQ(engine.Load({Rec(1, 1, 5)}).accepted, 1);
+    EXPECT_EQ(domain.RetiredCount(), 1);
+    EXPECT_DOUBLE_EQ(view.SumOverCells(Box::All(Shape{6, 6})).value(), 1);
+  }
+  ASSERT_TRUE(engine
+                  .LoadCells(NdArray<double>(Shape{6, 6}, 2.0),
+                             NdArray<int64_t>(Shape{6, 6}, int64_t{1}))
+                  .ok());
+  EXPECT_EQ(domain.RetiredCount(), 0);
+  EXPECT_DOUBLE_EQ(engine.Sum(RangeQuery()).value(), 72);
+}
+
 TEST(ServingFactoryTest, RoutesOnShardCount) {
   const auto shards_of = [](int shards) {
     const auto engine = MakeServingEngine(

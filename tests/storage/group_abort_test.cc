@@ -222,6 +222,56 @@ TEST_F(GroupAbortTest, FoldForwardRecoversAckedRecordsAfterCheckpointCrash) {
             oracle.SumBox(Box::All(shape)));
 }
 
+// A store created where an earlier one lived owns the directory: the
+// earlier store's wal-3 must not come back as an orphan log when a
+// checkpoint of the new store crashes after rotating to wal-2.
+TEST_F(GroupAbortTest, CreateDiscardsAnEarlierStoresGenerations) {
+  const Shape shape{8, 8};
+  DurableOptions options;
+  options.group_commit = true;
+  {
+    auto earlier = DurableRps<int64_t>::Create(
+        UniformCube(shape, 0, 9, 50), CellIndex{3, 3}, tmp_.path(), options);
+    ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
+    ASSERT_TRUE(earlier.value().Checkpoint().ok());
+    ASSERT_TRUE(earlier.value().Checkpoint().ok());
+    ASSERT_EQ(earlier.value().generation(), 3);
+    for (int64_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE(earlier.value().Add(CellIndex{i, i}, 1000).ok());
+    }
+  }
+
+  NdArray<int64_t> oracle = UniformCube(shape, 0, 9, 51);
+  auto created = DurableRps<int64_t>::Create(oracle, CellIndex{3, 3},
+                                             tmp_.path(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  {
+    auto durable = std::move(created).value();
+    Rng rng(52);
+    for (int i = 0; i < 12; ++i) {
+      const CellIndex cell{rng.UniformInt(0, 7), rng.UniformInt(0, 7)};
+      const int64_t delta = rng.UniformInt(1, 9);
+      oracle.at(cell) += delta;
+      ASSERT_TRUE(durable.Add(cell, delta).ok());
+    }
+    durable.set_checkpoint_write_hook(
+        [] { Arm("io.snapshot.crash", fail::TriggerPolicy::Once()); });
+    EXPECT_FALSE(durable.Checkpoint().ok());
+    EXPECT_EQ(durable.generation(), 1);
+  }
+
+  fault_env::ClearSimulatedCrash();
+  WalReplay replay;
+  auto reopened = DurableRps<int64_t>::Open(tmp_.path(), &replay);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(replay.records.size(), 12u);
+  CellIndex cell = CellIndex::Filled(2, 0);
+  do {
+    ASSERT_EQ(reopened.value().RangeSum(Box::Cell(cell)), oracle.at(cell))
+        << cell.ToString();
+  } while (NextIndex(shape, cell));
+}
+
 // The same hazard on the durable serving engine. Its image is framed
 // as WAL records, so the image write dies at io.wal.crash.
 TEST_F(GroupAbortTest,
