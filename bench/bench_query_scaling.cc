@@ -229,6 +229,32 @@ BENCHMARK(BM_RpsQueryByDims<2>);
 BENCHMARK(BM_RpsQueryByDims<3>);
 BENCHMARK(BM_RpsQueryByDims<4>);
 
+// The update rung on the same cubes: every d but 2 takes the
+// runtime-d instance of the update scatter (OverlayGeometry::Scatter).
+template <int kDims>
+void BM_RpsUpdateByDims(benchmark::State& state) {
+  const int64_t n = kDims == 1 ? 4096 : (kDims == 2 ? 64 : (kDims == 3 ? 16 : 8));
+  const Shape shape = Shape::Hypercube(kDims, n);
+  RelativePrefixSum<int64_t> rps(UniformCube(shape, 0, 99, 29));
+  UniformUpdateGen gen(shape, 5, 43);
+  std::vector<UpdateOp> ops;
+  ops.reserve(kQueryPool);
+  for (size_t i = 0; i < kQueryPool; ++i) ops.push_back(gen.Next());
+  size_t next = 0;
+  int64_t cells = 0;
+  for (auto _ : state) {
+    cells += rps.Add(ops[next].cell, ops[next].delta).total();
+    next = (next + 1) & (kQueryPool - 1);
+  }
+  benchmark::DoNotOptimize(cells);
+  state.counters["cells/update"] = benchmark::Counter(
+      static_cast<double>(cells), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RpsUpdateByDims<1>);
+BENCHMARK(BM_RpsUpdateByDims<2>);
+BENCHMARK(BM_RpsUpdateByDims<3>);
+BENCHMARK(BM_RpsUpdateByDims<4>);
+
 }  // namespace
 }  // namespace rps
 

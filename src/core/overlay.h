@@ -7,8 +7,9 @@
 // -- the anchor cell plus the border cells, k^d - (k-1)^d cells per
 // box (Figure 6). OverlayGeometry maps (box, in-box offset) to a slot
 // in a flat value vector in O(d) with no search, and maps a prefix
-// lookup's target to the slots it reads with per-dimension tables and
-// no division; Overlay<T> adds the value storage.
+// lookup's target to the slots it reads, and an update to the runs of
+// cells it writes, with per-dimension tables and no division;
+// Overlay<T> adds the value storage.
 //
 // Stored-value semantics (d-dimensional; see DESIGN.md Section 1):
 // for overlay cell c of the box anchored at a, with
@@ -99,6 +100,31 @@ class OverlayGeometry {
   };
   template <int kDims = 0, typename BorderFn>
   CornerCells Corner(const int64_t* target, BorderFn&& border) const;
+
+  /// The cells an update of `cell` writes (Figure 14), the write side
+  /// of Corner. First the RP tail of the covering box, as row runs
+  /// passed to `rp(start, len)`: `start` is a row-major index into the
+  /// cube and the run covers `len` cells along the innermost
+  /// dimension; rows come in row-major order. Then every dominating
+  /// box but the covering one, in grid-linear order. A box that shares
+  /// a grid coordinate with the covering box passes its affected
+  /// stored cells to `border(slot, len)` as runs of consecutive slots,
+  /// in slot order. A stretch of strictly dominating boxes, whose
+  /// anchor is their only affected cell, goes to `anchors(box, count)`
+  /// as the grid-linear ids box .. box + count - 1 (AnchorSlotOfLinear
+  /// maps them to slots). Table reads and adds only; kDims as in
+  /// Corner.
+  template <int kDims = 0, typename RpFn, typename BorderFn,
+            typename AnchorsFn>
+  void Scatter(const int64_t* cell, RpFn&& rp, BorderFn&& border,
+               AnchorsFn&& anchors) const;
+
+  /// Offset of coordinate `x` of dimension `j` from the anchor of its
+  /// box, a table read.
+  int64_t OffsetOf(int j, int64_t x) const {
+    RPS_DCHECK(j >= 0 && j < dims() && x >= 0 && x < cube_shape_.extent(j));
+    return coords_[static_cast<size_t>(coord_start_[j] + x)].offset;
+  }
 
   /// Self-audit of the geometry bookkeeping: grid extents, slot-base
   /// monotonicity, and (for up to `max_boxes` boxes) that SlotOf is a
@@ -194,6 +220,189 @@ OverlayGeometry::CornerCells OverlayGeometry::Corner(
   return {base, rp_cell};
 }
 
+template <int kDims, typename RpFn, typename BorderFn, typename AnchorsFn>
+void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
+                              BorderFn&& border, AnchorsFn&& anchors) const {
+  static_assert(kDims >= 0 && kDims <= kMaxDims);
+  const int d = kDims > 0 ? kDims : dims();
+  RPS_DCHECK(d == dims());
+  const Coord* at[kMaxDims];
+  for (int j = 0; j < d; ++j) {
+    RPS_DCHECK(cell[j] >= 0 && cell[j] < cube_shape_.extent(j));
+    at[j] = &coords_[static_cast<size_t>(coord_start_[j] + cell[j])];
+  }
+  const int64_t inner_extent = cube_shape_.extent(d - 1);
+  // Boxes after the covering one along the innermost grid dimension,
+  // whose grid stride is 1: box_part is the box coordinate there.
+  const int64_t right = grid_shape_.extent(d - 1) - 1 - at[d - 1]->box_part;
+  // Extent of the innermost dimension's last, possibly clipped, box.
+  const int64_t last_side =
+      coords_[static_cast<size_t>(coord_start_[d - 1] + inner_extent - 1)]
+          .extent;
+  // A box sharing grid coordinates E with the covering box writes the
+  // product over j in Q = {j in E : o_j > 0} of offsets [o_j, e_j),
+  // zero elsewhere; its first zero dimension is g = min(not Q), so
+  // BorderRank (see Corner) is affine in the offsets:
+  //   slot = base + C + sum_{j in Q} o'_j * coef_j.
+  if constexpr (kDims == 2) {
+    // RP tail: rows cell[0] .. end of box, cells cell[1] .. end of box.
+    const int64_t rows = at[0]->extent - at[0]->offset;
+    const int64_t cols = at[1]->extent - at[1]->offset;
+    int64_t start = cell[0] * inner_extent + cell[1];
+    for (int64_t r = 0; r < rows; ++r, start += inner_extent) rp(start, cols);
+    // The covering box's grid row: (o0', 0) sits at base + e1 + o0' - 1.
+    const int64_t own = at[0]->box_part + at[1]->box_part;
+    for (int64_t i = 1; i <= right; ++i) {
+      const int64_t base = slot_base_[static_cast<size_t>(own + i)];
+      if (at[0]->offset > 0) {
+        const int64_t e1 = i < right ? box_size_[1] : last_side;
+        border(base + e1 + at[0]->offset - 1, rows);
+      } else {
+        border(base, 1);
+      }
+    }
+    // Later grid rows: (0, o1') at base + o1' in the covering box's
+    // grid column, then the strictly dominating anchors.
+    const int64_t boxes = static_cast<int64_t>(slot_base_.size()) - 1;
+    const int64_t row_step = grid_shape_.extent(1);
+    for (int64_t box = own + row_step; box < boxes; box += row_step) {
+      const int64_t base = slot_base_[static_cast<size_t>(box)];
+      if (at[1]->offset > 0) {
+        border(base + at[1]->offset, cols);
+      } else {
+        border(base, 1);
+      }
+      if (right > 0) anchors(box + 1, right);
+    }
+  } else {
+    // RP tail rows in row-major order: an odometer over dimensions
+    // 0 .. d-2 of the tail box.
+    int64_t stride[kMaxDims];
+    int64_t tail[kMaxDims] = {};
+    stride[d - 1] = 1;
+    for (int j = d - 1; j > 0; --j) {
+      stride[j - 1] = stride[j] * cube_shape_.extent(j);
+    }
+    int64_t start = 0;
+    uint32_t past = 0;  // dimensions where `cell` is past its anchor
+    for (int j = 0; j < d; ++j) {
+      tail[j] = at[j]->extent - at[j]->offset;
+      start += cell[j] * stride[j];
+      if (at[j]->offset > 0) past |= 1u << j;
+    }
+    int64_t step[kMaxDims] = {};
+    for (;;) {
+      rp(start, tail[d - 1]);
+      int j = d - 2;
+      for (; j >= 0 && step[j] + 1 == tail[j]; --j) {
+        start -= step[j] * stride[j];
+        step[j] = 0;
+      }
+      if (j < 0) break;
+      ++step[j];
+      start += stride[j];
+    }
+
+    int64_t side[kMaxDims];  // e_j of the box being written
+    const auto write_box = [&](int64_t box, uint32_t q) {
+      const int64_t base = slot_base_[static_cast<size_t>(box)];
+      if (q == 0) {
+        border(base, 1);
+        return;
+      }
+      int64_t suffix[kMaxDims];  // prod_{i>j} e_i
+      suffix[d - 1] = 1;
+      for (int j = d - 1; j > 0; --j) suffix[j - 1] = suffix[j] * side[j];
+      const int g = __builtin_ctz(~q);
+      // C: start[g], less coef_j for each j < g (offsets o'_j - 1 there).
+      int64_t c = 0;
+      int64_t group_scale = 1;
+      for (int i = 0; i < g; ++i) {
+        c += group_scale * suffix[i];
+        group_scale *= side[i] - 1;
+      }
+      int64_t coef[kMaxDims];
+      int64_t scale = suffix[g];
+      for (int j = g - 1; j >= 0; --j) {
+        coef[j] = scale;
+        c -= scale;
+        scale *= side[j] - 1;
+      }
+      for (int j = g + 1; j < d; ++j) coef[j] = suffix[j];
+      int64_t slot = base + c;
+      for (uint32_t rest = q; rest != 0; rest &= rest - 1) {
+        const int j = __builtin_ctz(rest);
+        slot += at[j]->offset * coef[j];
+      }
+      // Offsets in row-major order: the last dimension of Q varies
+      // fastest and has the smallest coef, 1 when its run is contiguous.
+      const int h = 31 - __builtin_clz(q);
+      const int64_t run = side[h] - at[h]->offset;
+      int64_t pos[kMaxDims] = {};
+      for (;;) {
+        RPS_DCHECK(slot >= base &&
+                   slot + (run - 1) * coef[h] <
+                       slot_base_[static_cast<size_t>(box) + 1]);
+        if (coef[h] == 1) {
+          border(slot, run);
+        } else {
+          for (int64_t i = 0; i < run; ++i) border(slot + i * coef[h], 1);
+        }
+        uint32_t outer = q & ~(1u << h);
+        for (; outer != 0; outer &= ~(1u << (31 - __builtin_clz(outer)))) {
+          const int j = 31 - __builtin_clz(outer);
+          if (++pos[j] < side[j] - at[j]->offset) {
+            slot += coef[j];
+            break;
+          }
+          slot -= (pos[j] - 1) * coef[j];
+          pos[j] = 0;
+        }
+        if (outer == 0) break;
+      }
+    };
+
+    // Dominating boxes, one grid row (dimensions 0 .. d-2 fixed) at a
+    // time. anchor[j] is the current row's anchor along j < d-1.
+    int64_t anchor[kMaxDims];
+    for (int j = 0; j < d; ++j) anchor[j] = cell[j] - at[j]->offset;
+    const uint32_t inner = 1u << (d - 1);
+    for (;;) {
+      int64_t row = at[d - 1]->box_part;  // grid-linear id of its first box
+      // The dimensions where the box shares the covering box's grid
+      // coordinate (the innermost holds for the row's first box only).
+      uint32_t same = inner;
+      for (int j = 0; j + 1 < d; ++j) {
+        const Coord& entry = coords_[static_cast<size_t>(coord_start_[j] +
+                                                         anchor[j])];
+        row += entry.box_part;
+        side[j] = entry.extent;
+        if (anchor[j] == cell[j] - at[j]->offset) same |= 1u << j;
+      }
+      side[d - 1] = at[d - 1]->extent;
+      if (same != (inner << 1) - 1) write_box(row, same & past);
+      same &= ~inner;
+      if (same == 0) {
+        if (right > 0) anchors(row + 1, right);
+      } else {
+        for (int64_t i = 1; i <= right; ++i) {
+          side[d - 1] = i < right ? box_size_[d - 1] : last_side;
+          write_box(row + i, same & past);
+        }
+      }
+      int j = d - 2;
+      for (; j >= 0; --j) {
+        if (anchor[j] + box_size_[j] < cube_shape_.extent(j)) {
+          anchor[j] += box_size_[j];
+          break;
+        }
+        anchor[j] = cell[j] - at[j]->offset;
+      }
+      if (j < 0) break;
+    }
+  }
+}
+
 /// Overlay value storage on top of OverlayGeometry.
 template <typename T>
 class Overlay {
@@ -230,8 +439,7 @@ class Overlay {
   /// stored cell has a zero offset in some dimension before the
   /// innermost, incrementing its innermost offset advances its slot
   /// by exactly one, so such "rows" of stored cells are contiguous
-  /// spans (update scatters and builders exploit this; they DCHECK
-  /// the span endpoints against SlotOf).
+  /// spans (OverlayGeometry::Scatter emits its runs on this).
   const T* slot_span(int64_t slot, int64_t len) const {
     RPS_DCHECK(slot >= 0 && len >= 0 &&
                slot + len <= static_cast<int64_t>(values_.size()));

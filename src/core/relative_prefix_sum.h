@@ -19,7 +19,6 @@
 #define RPS_CORE_RELATIVE_PREFIX_SUM_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <span>
 #include <string>
@@ -82,35 +81,15 @@ bool CellsEqual(const T& actual, const T& expected) {
 /// [1, n_j] (Section 4.3).
 CellIndex RecommendedBoxSize(const Shape& shape);
 
-/// Parallel-execution knobs for structure builds and large update
-/// scatters. Work whose estimated touched cells fall below
-/// `min_parallel_cells` stays on the calling thread, and ParallelFor
-/// chunk grains are derived from the same constant -- chunk
-/// boundaries depend only on the problem size, never on thread
-/// count, so parallel results are bit-identical to serial ones for
-/// integral T.
+/// Parallel-execution knobs for structure builds and query batches.
+/// Work whose estimated cells fall below `min_parallel_cells` stays
+/// on the calling thread, and ParallelFor chunk grains are derived
+/// from the same constant -- chunk boundaries depend only on the
+/// problem size, never on thread count, so parallel results are
+/// bit-identical to serial ones for integral T.
 struct ParallelPolicy {
   int64_t min_parallel_cells = kMinCellsPerParallelChunk;
 };
-
-namespace internal_parallel {
-
-/// Runs fn(lo, hi) over chunks of [0, total) with the given grain --
-/// through `pool` when it is non-null and the range spans more than
-/// one chunk, serially otherwise -- and returns the summed int64
-/// results. fn must be safe to run concurrently on disjoint ranges.
-template <typename Fn>
-int64_t ChunkedSum(ThreadPool* pool, int64_t total, int64_t grain, Fn&& fn) {
-  if (total <= 0) return 0;
-  if (pool == nullptr || total <= grain) return fn(int64_t{0}, total);
-  std::atomic<int64_t> sum{0};
-  pool->ParallelFor(0, total, grain, [&](int64_t lo, int64_t hi) {
-    sum.fetch_add(fn(lo, hi), std::memory_order_relaxed);
-  });
-  return sum.load(std::memory_order_relaxed);
-}
-
-}  // namespace internal_parallel
 
 /// Sum of prefix-array cells by inclusion-exclusion over the 2^d
 /// corners of `range`: the query of the prefix sum method, reused by
@@ -152,8 +131,8 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// Builds the structure for `source` with the recommended
   /// (sqrt(n)) box sizes. `pool` (borrowed, must outlive the
   /// structure; may be null for strictly serial execution) runs the
-  /// build and large update scatters in parallel when the work
-  /// clears the ParallelPolicy threshold.
+  /// build and large query batches in parallel when the work clears
+  /// the ParallelPolicy threshold.
   explicit RelativePrefixSum(const NdArray<T>& source,
                              ThreadPool* pool = &ThreadPool::Global())
       : RelativePrefixSum(source, RecommendedBoxSize(source.shape()), pool) {}
@@ -252,7 +231,7 @@ class RelativePrefixSum final : public QueryMethod<T> {
   const NdArray<T>& rp_array() const { return rp_; }
   const Overlay<T>& overlay() const { return overlay_; }
 
-  /// The pool used by Build and large update scatters (null means
+  /// The pool used by Build and large query batches (null means
   /// strictly serial). Borrowed; callers keep ownership.
   ThreadPool* thread_pool() const { return pool_; }
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
@@ -328,30 +307,20 @@ class RelativePrefixSum final : public QueryMethod<T> {
   template <int kDims>
   T SumOf(const Box& range, LookupStats* reads) const;
 
-  // Adds `delta` to every RP cell of `affected` (the tail of the
-  // covering box dominating the updated cell), one row kernel per
-  // innermost-dimension row. Returns cells touched.
-  int64_t AddToRpTail(const Box& affected, T delta);
-
-  // Adds `delta` to the stored cells of the non-strictly dominating
-  // box `box_index` that are affected by an update at `cell`
-  // (Figure 14): per dimension, offset {0} when cell_j <= anchor_j,
-  // else the whole tail [cell_j - anchor_j, extents_j). Writes whole
-  // slot spans (see Overlay::slot_span). Returns cells touched.
-  int64_t ScatterBoxUpdate(const CellIndex& box_index, const CellIndex& cell,
-                           T delta);
-
-  // Scatters an update at `cell` into every dominating box that
-  // shares at least one grid coordinate with the covering box
-  // (strict dominators take the anchor-only fast path below).
-  // Returns cells touched.
-  int64_t ScatterSlabs(const CellIndex& own_box, const CellIndex& cell,
-                       T delta);
-
-  // Adds `delta` to the anchor of every strictly dominating box --
-  // the (n/k)^d interior anchors of Figure 14, the volume term of an
-  // update. Returns cells touched.
-  int64_t ScatterStrictAnchors(const CellIndex& own_box, T delta);
+  // Adds `delta` to every cell an update of `cell` writes
+  // (OverlayGeometry::Scatter), except the anchors of strictly
+  // dominating boxes: those get *anchor_delta, or are left alone when
+  // it is null (AddBatch writes them once per box). kDims as in
+  // OverlayGeometry::Corner. Returns cells touched.
+  UpdateStats ScatterAdd(const CellIndex& cell, T delta,
+                         const T* anchor_delta) {
+    int64_t at[kMaxDims];
+    for (int j = 0; j < cell.dims(); ++j) at[j] = cell[j];
+    return rp_.dims() == 2 ? ScatterAdd<2>(at, delta, anchor_delta)
+                           : ScatterAdd<0>(at, delta, anchor_delta);
+  }
+  template <int kDims>
+  UpdateStats ScatterAdd(const int64_t* cell, T delta, const T* anchor_delta);
 
   // Per-instance lookup counters; obs::RelaxedCounter carries its
   // value across structure copies.
@@ -575,28 +544,28 @@ void RelativePrefixSum<T>::RangeSumBatch(std::span<const Box> ranges,
 template <typename T>
 T RelativePrefixSum<T>::ValueAt(const CellIndex& cell) const {
   const OverlayGeometry& geo = overlay_.geometry();
-  RPS_DCHECK(rp_.shape().Contains(cell));
-  const int d = rp_.dims();
-  const CellIndex box_index = geo.BoxIndexOf(cell);
-  const CellIndex anchor = geo.AnchorOf(box_index);
+  const Shape& shape = rp_.shape();
+  RPS_DCHECK(shape.Contains(cell));
   // Box-local differencing: A[u] = sum over subsets V of
-  // {j : u_j > a_j} of (-1)^|V| RP[u - 1_V].
-  int above[kMaxDims];
+  // {j : u_j > a_j} of (-1)^|V| RP[u - 1_V], by linear index.
+  int64_t linear = 0;
+  int64_t step[kMaxDims];  // row-major strides of the dimensions above
   int num_above = 0;
-  for (int j = 0; j < d; ++j) {
-    if (cell[j] > anchor[j]) above[num_above++] = j;
+  for (int j = 0; j < shape.dims(); ++j) {
+    linear = linear * shape.extent(j) + cell[j];
+    for (int i = 0; i < num_above; ++i) step[i] *= shape.extent(j);
+    if (geo.OffsetOf(j, cell[j]) > 0) step[num_above++] = 1;
   }
   T total{};
-  CellIndex probe = cell;
   for (uint32_t mask = 0; mask < (1u << num_above); ++mask) {
+    int64_t probe = linear;
     for (int i = 0; i < num_above; ++i) {
-      const int j = above[i];
-      probe[j] = (mask & (1u << i)) ? cell[j] - 1 : cell[j];
+      if (mask & (1u << i)) probe -= step[i];
     }
     if (__builtin_popcount(mask) % 2 == 0) {
-      total += rp_.at(probe);
+      total += rp_.at_linear(probe);
     } else {
-      total -= rp_.at(probe);
+      total -= rp_.at_linear(probe);
     }
   }
   return total;
@@ -605,25 +574,11 @@ T RelativePrefixSum<T>::ValueAt(const CellIndex& cell) const {
 template <typename T>
 UpdateStats RelativePrefixSum<T>::Add(const CellIndex& cell, T delta) {
   obs::CollectorSpan span("core.rps.add");
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& shape = rp_.shape();
-  RPS_CHECK(shape.Contains(cell));
-  UpdateStats stats;
-
-  const CellIndex own_box = geo.BoxIndexOf(cell);
-  const Box own_region = geo.RegionOf(own_box);
-
-  // 1. RP: cells of the covering box dominating `cell`
-  //    (cascading stops at the box boundary -- Section 4.2).
-  stats.primary_cells += AddToRpTail(Box(cell, own_region.hi()), delta);
-
-  // 2. Overlay: every box whose grid index dominates the covering
-  //    box's, except the covering box itself (Figure 14), split into
-  //    the boxes sharing a grid coordinate (border-row slabs) and the
-  //    strictly dominating boxes (anchor cells only).
-  stats.aux_cells += ScatterSlabs(own_box, cell, delta);
-  stats.aux_cells += ScatterStrictAnchors(own_box, delta);
-
+  RPS_CHECK(rp_.shape().Contains(cell));
+  // The RP tail of the covering box (cascading stops at the box
+  // boundary -- Section 4.2) and every dominating box's affected
+  // overlay cells (Figure 14).
+  const UpdateStats stats = ScatterAdd(cell, delta, &delta);
   static obs::Counter& updates =
       obs::MetricRegistry::Global().GetCounter("rps_core_rps_updates_total");
   static obs::Counter& cells = obs::MetricRegistry::Global().GetCounter(
@@ -635,166 +590,30 @@ UpdateStats RelativePrefixSum<T>::Add(const CellIndex& cell, T delta) {
 }
 
 template <typename T>
-int64_t RelativePrefixSum<T>::AddToRpTail(const Box& affected, T delta) {
-  const int d = rp_.dims();
-  const int64_t row_len = affected.Extent(d - 1);
-  ForEachRowStart(affected, [&](const CellIndex& row) {
-    AddToRow(rp_.row_span(row, row_len), row_len, delta);
-  });
-  return affected.NumCells();
-}
-
-template <typename T>
-int64_t RelativePrefixSum<T>::ScatterBoxUpdate(const CellIndex& box_index,
-                                               const CellIndex& cell,
-                                               T delta) {
+template <int kDims>
+UpdateStats RelativePrefixSum<T>::ScatterAdd(const int64_t* cell, T delta,
+                                             const T* anchor_delta) {
   const OverlayGeometry& geo = overlay_.geometry();
-  const int d = rp_.dims();
-  const CellIndex anchor = geo.AnchorOf(box_index);
-  const CellIndex extents = geo.ExtentsOf(box_index);
-  // Affected stored cells: the product over dimensions of
-  //   {a_j}                         if u_j <= a_j,
-  //   {c_j : u_j <= c_j < a_j+e_j}  if u_j >  a_j (same box row).
-  CellIndex off_lo = CellIndex::Filled(d, 0);
-  CellIndex off_hi = CellIndex::Filled(d, 0);
-  for (int j = 0; j < d; ++j) {
-    if (cell[j] > anchor[j]) {
-      off_lo[j] = cell[j] - anchor[j];
-      off_hi[j] = extents[j] - 1;
-    }  // else single offset 0
-  }
-  const Box offsets_box(off_lo, off_hi);
-  const int64_t row_len = offsets_box.Extent(d - 1);
-  if (d >= 2 && row_len == 1 && off_hi[d - 1] == 0 && off_lo[d - 2] >= 1) {
-    // The innermost offset is pinned at 0 but dimension d-2 varies
-    // from >= 1 (the box shares cell's innermost coordinate plane).
-    // Per-innermost-row spans would all have length 1; but BorderRank
-    // orders each first-zero group row-major, so when every offset
-    // outside d-2 is fixed (outers >= 1, innermost 0) the cells along
-    // d-2 sit in consecutive slots -- one span per row along d-2
-    // instead of one SlotOf per cell.
-    bool spannable = true;
-    for (int j = 0; j + 2 < d; ++j) spannable = spannable && off_lo[j] >= 1;
-    if (spannable) {
-      CellIndex span_hi = off_hi;
-      span_hi[d - 2] = off_lo[d - 2];
-      const Box reduced(off_lo, span_hi);
-      const int64_t span_len = off_hi[d - 2] - off_lo[d - 2] + 1;
-      ForEachRowStart(reduced, [&](const CellIndex& offsets) {
-        const int64_t slot = geo.SlotOf(box_index, offsets);
-#if !defined(NDEBUG)
-        {
-          CellIndex last = offsets;
-          last[d - 2] = off_hi[d - 2];
-          RPS_DCHECK(geo.SlotOf(box_index, last) == slot + span_len - 1);
+  UpdateStats stats;
+  geo.template Scatter<kDims>(
+      cell,
+      [&](int64_t start, int64_t len) {
+        RPS_DCHECK(start >= 0 && start + len <= rp_.num_cells());
+        AddToRow(rp_.data() + start, len, delta);
+        stats.primary_cells += len;
+      },
+      [&](int64_t slot, int64_t len) {
+        AddToRow(overlay_.slot_span(slot, len), len, delta);
+        stats.aux_cells += len;
+      },
+      [&](int64_t box, int64_t count) {
+        if (anchor_delta == nullptr) return;
+        for (int64_t i = 0; i < count; ++i) {
+          overlay_.at_slot(geo.AnchorSlotOfLinear(box + i)) += *anchor_delta;
         }
-#endif
-        AddToRow(overlay_.slot_span(slot, span_len), span_len, delta);
+        stats.aux_cells += count;
       });
-      return offsets_box.NumCells();
-    }
-  }
-  ForEachRowStart(offsets_box, [&](const CellIndex& offsets) {
-    const int64_t slot = geo.SlotOf(box_index, offsets);
-#if !defined(NDEBUG)
-    if (row_len > 1) {
-      // Slots of an innermost-offset row are contiguous whenever some
-      // outer offset is zero -- guaranteed here: row_len > 1 means
-      // the innermost offsets vary, and every stored cell has a zero
-      // offset somewhere, which must then be an outer dimension.
-      CellIndex last = offsets;
-      last[d - 1] = off_hi[d - 1];
-      RPS_DCHECK(geo.SlotOf(box_index, last) == slot + row_len - 1);
-    }
-#endif
-    AddToRow(overlay_.slot_span(slot, row_len), row_len, delta);
-  });
-  return offsets_box.NumCells();
-}
-
-template <typename T>
-int64_t RelativePrefixSum<T>::ScatterSlabs(const CellIndex& own_box,
-                                           const CellIndex& cell, T delta) {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& grid = geo.grid_shape();
-  const int d = grid.dims();
-  const CellIndex grid_hi = Box::All(grid).hi();
-  const int64_t avg_stored_per_box =
-      std::max<int64_t>(1, overlay_.num_values() /
-                               std::max<int64_t>(1, geo.num_boxes()));
-  int64_t touched = 0;
-  // Partition the non-strict dominators by the first dimension g with
-  // box[g] == own_box[g]: dimensions before g strictly above,
-  // dimensions after g free (>=). The slabs are disjoint and cover
-  // every dominating box sharing a grid coordinate exactly once.
-  for (int g = 0; g < d; ++g) {
-    CellIndex lo = own_box;
-    CellIndex hi = grid_hi;
-    bool empty = false;
-    for (int j = 0; j < g; ++j) {
-      if (own_box[j] + 1 > grid_hi[j]) {
-        empty = true;
-        break;
-      }
-      lo[j] = own_box[j] + 1;
-    }
-    if (empty) continue;
-    hi[g] = own_box[g];
-    const Box slab(lo, hi);
-    const int64_t boxes_per_row = slab.Extent(d - 1);
-    auto scatter_rows = [&](int64_t row_lo, int64_t row_hi) -> int64_t {
-      int64_t chunk_touched = 0;
-      ForEachRowStartInRange(
-          slab, row_lo, row_hi, [&](const CellIndex& row) {
-            CellIndex box_index = row;
-            for (int64_t i = 0; i < boxes_per_row; ++i) {
-              box_index[d - 1] = row[d - 1] + i;
-              if (box_index == own_box) continue;  // RP handles it
-              chunk_touched += ScatterBoxUpdate(box_index, cell, delta);
-            }
-          });
-      return chunk_touched;
-    };
-    // Rows write disjoint boxes, so chunks never race; the grain
-    // estimate targets min_parallel_cells of stored-cell writes.
-    const int64_t grain = std::max<int64_t>(
-        1, policy_.min_parallel_cells /
-               std::max<int64_t>(1, boxes_per_row * avg_stored_per_box));
-    touched += internal_parallel::ChunkedSum(pool_, NumRowsOf(slab), grain,
-                                             scatter_rows);
-  }
-  return touched;
-}
-
-template <typename T>
-int64_t RelativePrefixSum<T>::ScatterStrictAnchors(const CellIndex& own_box,
-                                                   T delta) {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& grid = geo.grid_shape();
-  const int d = grid.dims();
-  CellIndex lo = own_box;
-  for (int j = 0; j < d; ++j) {
-    if (own_box[j] + 1 >= grid.extent(j)) return 0;
-    lo[j] = own_box[j] + 1;
-  }
-  const Box strict(lo, Box::All(grid).hi());
-  const int64_t row_len = strict.Extent(d - 1);
-  auto scatter_rows = [&](int64_t row_lo, int64_t row_hi) -> int64_t {
-    ForEachRowStartInRange(strict, row_lo, row_hi, [&](const CellIndex& row) {
-      // Boxes consecutive along the innermost grid dimension are
-      // consecutive in grid-linear order; one Linearize per row.
-      const int64_t base = grid.Linearize(row);
-      for (int64_t i = 0; i < row_len; ++i) {
-        overlay_.at_slot(geo.AnchorSlotOfLinear(base + i)) += delta;
-      }
-    });
-    return (row_hi - row_lo) * row_len;
-  };
-  // Rows write disjoint boxes' anchors, so chunks never race.
-  const int64_t grain = std::max<int64_t>(
-      1, policy_.min_parallel_cells / std::max<int64_t>(1, row_len));
-  return internal_parallel::ChunkedSum(pool_, NumRowsOf(strict), grain,
-                                       scatter_rows);
+  return stats;
 }
 
 template <typename T>
@@ -974,27 +793,19 @@ UpdateStats RelativePrefixSum<T>::AddBatch(
 
   for (size_t start = 0; start < grouped.size();) {
     size_t end = start;
+    T group_delta{};
     while (end < grouped.size() && grouped[end].first == grouped[start].first) {
+      group_delta += grouped[end].second->delta;
       ++end;
     }
-    const CellIndex own_box = grid.Delinearize(grouped[start].first);
-    const Box own_region = geo.RegionOf(own_box);
-    T group_delta{};
-
+    // Every op of the group writes its own RP tail and slab cells; the
+    // strictly dominating anchors, shared by the whole group, get the
+    // summed delta once.
     for (size_t i = start; i < end; ++i) {
       const CellDelta& op = *grouped[i].second;
-      group_delta += op.delta;
-      // RP: per-op, within the covering box.
-      stats.primary_cells +=
-          AddToRpTail(Box(op.cell, own_region.hi()), op.delta);
-      // Overlay slabs: boxes b >= bu with at least one equal
-      // component (strict dominators are coalesced below).
-      stats.aux_cells += ScatterSlabs(own_box, op.cell, op.delta);
+      stats += ScatterAdd(op.cell, op.delta,
+                          i == start ? &group_delta : nullptr);
     }
-
-    // Strictly dominating boxes: anchors only, summed delta, once per
-    // group.
-    stats.aux_cells += ScatterStrictAnchors(own_box, group_delta);
     start = end;
   }
 

@@ -11,10 +11,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "cube/index.h"
-#include "util/check.h"
 
 namespace rps {
 
@@ -65,51 +63,23 @@ class Box {
 /// from box.lo().
 bool NextIndexInBox(const Box& box, CellIndex& index);
 
-/// Number of innermost-dimension rows in `box`: the product of its
-/// outer extents (1 when the box is one-dimensional). Each row holds
-/// box.Extent(dims-1) cells, contiguous in any row-major array.
-inline int64_t NumRowsOf(const Box& box) {
-  int64_t rows = 1;
-  for (int j = 0; j + 1 < box.dims(); ++j) rows *= box.Extent(j);
-  return rows;
-}
-
-/// Calls fn(start) with the first cell of rows [row_lo, row_hi) of
-/// `box`, in row-major order (rows are numbered 0 .. NumRowsOf(box)).
-/// The half-open row range is what lets ParallelFor chunks split a
-/// box's rows across threads without touching shared state.
-template <typename Fn>
-void ForEachRowStartInRange(const Box& box, int64_t row_lo, int64_t row_hi,
-                            Fn&& fn) {
-  RPS_DCHECK(0 <= row_lo && row_lo <= row_hi && row_hi <= NumRowsOf(box));
-  if (row_lo >= row_hi) return;
-  const int d = box.dims();
-  CellIndex start = box.lo();
-  // Mixed-radix decomposition of row_lo over the outer extents.
-  int64_t rem = row_lo;
-  for (int j = d - 2; j >= 0; --j) {
-    const int64_t extent = box.Extent(j);
-    start[j] = box.lo()[j] + rem % extent;
-    rem /= extent;
-  }
-  for (int64_t r = row_lo; r < row_hi; ++r) {
-    fn(static_cast<const CellIndex&>(start));
-    int j = d - 2;
-    for (; j >= 0; --j) {
-      if (++start[j] <= box.hi()[j]) break;
-      start[j] = box.lo()[j];
-    }
-    if (j < 0) break;  // wrapped past the last row
-  }
-}
-
 /// Calls fn(start) with the first cell of every innermost-dimension
 /// row of `box`, in row-major order. The unit of iteration for the
 /// row kernels (cube/row_kernels.h): per-cell index arithmetic is
 /// paid once per row instead of once per cell.
 template <typename Fn>
 void ForEachRowStart(const Box& box, Fn&& fn) {
-  ForEachRowStartInRange(box, 0, NumRowsOf(box), std::forward<Fn>(fn));
+  const int d = box.dims();
+  CellIndex start = box.lo();
+  for (;;) {
+    fn(static_cast<const CellIndex&>(start));
+    int j = d - 2;
+    for (; j >= 0; --j) {
+      if (++start[j] <= box.hi()[j]) break;
+      start[j] = box.lo()[j];
+    }
+    if (j < 0) return;  // wrapped past the last row
+  }
 }
 
 }  // namespace rps

@@ -49,8 +49,8 @@ const char* EngineMethodName(EngineMethod method);
 /// Factories for the underlying structures, shared by the engines.
 /// The returned structure is built over an all-zero cube of `shape`.
 /// `pool` (borrowed, must outlive the structure; may be null for
-/// strictly serial execution) drives parallel builds and large update
-/// scatters in the pool-aware methods; the others ignore it.
+/// strictly serial execution) drives parallel builds and large query
+/// batches in the pool-aware methods; the others ignore it.
 std::unique_ptr<QueryMethod<double>> MakeDoubleMethod(
     EngineMethod method, const Shape& shape,
     ThreadPool* pool = &ThreadPool::Global());

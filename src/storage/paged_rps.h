@@ -255,48 +255,39 @@ class PagedRps {
     return total;
   }
 
-  /// Point update; identical region arithmetic to
-  /// RelativePrefixSum::Add.
+  /// Point update: the cells RelativePrefixSum::Add writes
+  /// (OverlayGeometry::Scatter), with RP (and optionally overlay)
+  /// writes going through the pool.
   Result<UpdateStats> Add(const CellIndex& cell, T delta) {
-    const Shape& cube = shape();
-    RPS_CHECK(cube.Contains(cell));
-    const int d = cube.dims();
+    RPS_CHECK(shape().Contains(cell));
+    const int d = shape().dims();
+    int64_t at[kMaxDims];
+    for (int j = 0; j < d; ++j) at[j] = cell[j];
     UpdateStats stats;
-
-    const CellIndex own_box = geometry_.BoxIndexOf(cell);
-    const Box own_region = geometry_.RegionOf(own_box);
-    {
-      Box affected(cell, own_region.hi());
-      CellIndex t = affected.lo();
-      do {
-        RPS_RETURN_IF_ERROR(rp_pages_->Add(t, delta));
-        ++stats.primary_cells;
-      } while (NextIndexInBox(affected, t));
-    }
-
-    const Shape& grid = geometry_.grid_shape();
-    Box grid_range(own_box, Box::All(grid).hi());
-    CellIndex box_index = grid_range.lo();
-    do {
-      if (box_index == own_box) continue;
-      const CellIndex anchor = geometry_.AnchorOf(box_index);
-      const CellIndex extents = geometry_.ExtentsOf(box_index);
-      CellIndex off_lo = CellIndex::Filled(d, 0);
-      CellIndex off_hi = CellIndex::Filled(d, 0);
-      for (int j = 0; j < d; ++j) {
-        if (cell[j] > anchor[j]) {
-          off_lo[j] = cell[j] - anchor[j];
-          off_hi[j] = extents[j] - 1;
-        }
-      }
-      Box offsets_box(off_lo, off_hi);
-      CellIndex offsets = offsets_box.lo();
-      do {
-        RPS_RETURN_IF_ERROR(
-            AddOverlaySlot(geometry_.SlotOf(box_index, offsets), delta));
-        ++stats.aux_cells;
-      } while (NextIndexInBox(offsets_box, offsets));
-    } while (NextIndexInBox(grid_range, box_index));
+    Status status;
+    geometry_.Scatter(
+        at,
+        [&](int64_t start, int64_t len) {
+          CellIndex t = shape().Delinearize(start);
+          for (int64_t i = 0; i < len && status.ok(); ++i, ++t[d - 1]) {
+            status = rp_pages_->Add(t, delta);
+          }
+          stats.primary_cells += len;
+        },
+        [&](int64_t slot, int64_t len) {
+          for (int64_t i = 0; i < len && status.ok(); ++i) {
+            status = AddOverlaySlot(slot + i, delta);
+          }
+          stats.aux_cells += len;
+        },
+        [&](int64_t box, int64_t count) {
+          for (int64_t i = 0; i < count && status.ok(); ++i) {
+            status = AddOverlaySlot(geometry_.AnchorSlotOfLinear(box + i),
+                                    delta);
+          }
+          stats.aux_cells += count;
+        });
+    RPS_RETURN_IF_ERROR(status);
     return stats;
   }
 

@@ -1,7 +1,7 @@
 // Reusable worker pool with a blocking ParallelFor primitive.
 //
 // The core structures are CPU-bound array transforms (box-local
-// prefix scans, overlay scatters, face-cube aggregation) whose work
+// prefix scans, overlay box fills, face-cube aggregation) whose work
 // items are embarrassingly independent, so one process-wide pool is
 // shared by every builder instead of spawning threads per call. Key
 // properties:

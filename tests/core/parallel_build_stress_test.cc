@@ -1,9 +1,10 @@
-// Stress tests of the ParallelFor-driven build and update paths,
-// run under the `concurrency` ctest label so the tsan preset checks
-// the chunked scatters for races. The parallel policy is forced down
-// to one cell so every pool path triggers on test-sized cubes, and
-// every result is compared against a strictly serial twin --
-// parallel execution must be bit-identical for integral cells.
+// Stress tests of the ParallelFor-driven build paths, and of updates
+// on structures built that way, run under the `concurrency` ctest
+// label so the tsan preset checks the chunked builds for races. The
+// parallel policy is forced down to one cell so every pool path
+// triggers on test-sized cubes, and every result is compared against
+// a strictly serial twin -- parallel execution must be bit-identical
+// for integral cells.
 
 #include <cstdint>
 #include <vector>

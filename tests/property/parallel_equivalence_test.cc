@@ -4,9 +4,10 @@
 //   * AddBatch must leave the structure identical to the equivalent
 //     scalar Adds (exact for integral cells, tolerance for floating
 //     cells, where coalescing legitimately reassociates additions);
-//   * builds and updates through a thread pool (parallel policy
-//     forced down so every pool path triggers) must match a strictly
-//     serial twin bit-for-bit on integral cells.
+//   * builds through a thread pool (parallel policy forced down so
+//     every pool path triggers), and updates on the structure they
+//     build, must match a strictly serial twin bit-for-bit on
+//     integral cells.
 
 #include <cstdint>
 #include <vector>
