@@ -98,7 +98,7 @@ void AblationBuildStrategy() {
         if (!stored) continue;
         const int64_t direct =
             DirectOverlayValue(prefix, geo, box_index, offsets);
-        if (direct != rps.overlay().at(box_index, offsets)) agree = false;
+        if (direct != rps.OverlayAt(box_index, offsets)) agree = false;
       } while (NextIndex(box_shape, offsets));
     } while (NextIndex(geo.grid_shape(), box_index));
     const double direct_ms = direct_watch.ElapsedSeconds() * 1e3;

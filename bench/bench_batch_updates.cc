@@ -38,7 +38,7 @@ void RunScenario(const char* name, const Shape& shape,
   const UpdateStats batch_stats = batched.AddBatch(batch);
   const double batch_ms = batch_watch.ElapsedSeconds() * 1e3;
 
-  RPS_CHECK_MSG(sequential.rp_array() == batched.rp_array(),
+  RPS_CHECK_MSG(sequential.MaterializeRp() == batched.MaterializeRp(),
                 "batch/sequential divergence");
 
   std::printf("%-34s  m=%5zu  cells %9lld -> %9lld (%.2fx)  time %7.2fms -> %7.2fms\n",

@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "bench/bench_metrics_main.h"
 
 #include "core/fenwick_method.h"
@@ -12,6 +16,7 @@
 #include "core/naive_method.h"
 #include "core/prefix_sum_method.h"
 #include "core/relative_prefix_sum.h"
+#include "util/random.h"
 #include "workload/data_gen.h"
 #include "workload/query_gen.h"
 
@@ -125,6 +130,49 @@ void BM_UpdateBatchHotspot(benchmark::State& state) {
 BENCHMARK(BM_UpdateBatchHotspot)
     ->RangeMultiplier(4)
     ->Range(16, 1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// One insert batch on one shard-sized structure: Clone, then 256 Adds
+// (what ShardedOlapEngine::Apply does per structure; the clone is
+// freed each iteration, as a retired version is). Arg rows:0 puts the
+// records in the last 8 cube rows, as the feed workload does (one box
+// row of RPS's 16); rows:1 draws uniform rows (every box row).
+template <typename Method>
+void BM_CloneAndBatch(benchmark::State& state) {
+  const Shape shape{256, 1024};
+  const NdArray<int64_t> counts = UniformCube(shape, 0, 99, 47);
+  NdArray<double> cube(shape);
+  for (int64_t i = 0; i < cube.num_cells(); ++i) {
+    cube.at_linear(i) = static_cast<double>(counts.at_linear(i));
+  }
+  const Method method(cube);
+  Rng rng(53);
+  std::vector<std::pair<CellIndex, double>> records;
+  for (int i = 0; i < 256; ++i) {
+    const int64_t row =
+        state.range(0) == 1 ? rng.UniformInt(0, 255) : rng.UniformInt(248, 255);
+    records.emplace_back(CellIndex{row, rng.UniformInt(0, 1023)},
+                         static_cast<double>(rng.UniformInt(1, 9999)));
+  }
+  for (auto _ : state) {
+    const std::unique_ptr<QueryMethod<double>> clone = method.Clone();
+    for (const auto& [cell, value] : records) clone->Add(cell, value);
+    benchmark::DoNotOptimize(clone.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size()));
+}
+
+BENCHMARK(BM_CloneAndBatch<RelativePrefixSum<double>>)
+    ->ArgName("rows")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CloneAndBatch<FenwickMethod<double>>)
+    ->ArgName("rows")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 // Build cost for context: all methods build in O(d N)-ish time except

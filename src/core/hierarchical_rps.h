@@ -337,9 +337,9 @@ class HierarchicalRps final : public QueryMethod<T> {
     return total;
   }
 
-  /// Deep copy: the flat members copy directly and the inner
-  /// structures reassemble through FromParts, which revalidates the
-  /// geometry.
+  /// The flat members copy directly and the inner structures (which
+  /// share their box-row chunks) reassemble through FromParts, which
+  /// revalidates the geometry.
   std::unique_ptr<QueryMethod<T>> Clone() const override {
     std::vector<std::unique_ptr<RelativePrefixSum<T>>> faces;
     faces.resize(faces_.size());
@@ -356,6 +356,15 @@ class HierarchicalRps final : public QueryMethod<T> {
         std::make_unique<HierarchicalRps<T>>(std::move(copy.value()));
     clone->set_parallel_policy(policy_);
     return clone;
+  }
+
+  /// The RP array is copied whole; the inner structures share chunks.
+  int64_t UnsharedCells() const override {
+    int64_t cells = rp_.num_cells() + coarse_->UnsharedCells();
+    for (const auto& face : faces_) {
+      if (face != nullptr) cells += face->UnsharedCells();
+    }
+    return cells;
   }
 
   MemoryStats Memory() const override {

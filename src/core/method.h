@@ -66,16 +66,23 @@ class QueryMethod {
   /// Current value of one cube cell.
   virtual T ValueAt(const CellIndex& cell) const = 0;
 
-  /// Deep, independent copy of the structure. The sharded engine's
-  /// copy-on-write publication path clones a shard, applies a batch
-  /// to the clone, and atomically swaps it in. Returns null when the
-  /// structure cannot be duplicated (e.g. it owns an external
-  /// resource such as a durable log); callers requiring clonability
-  /// must check once up front.
+  /// Independent copy of the structure: writes to either never show in
+  /// the other. The sharded engine's copy-on-write publication path
+  /// clones a shard, applies a batch to the clone, and atomically
+  /// swaps it in. A clone may share storage with its source until a
+  /// write copies it (RelativePrefixSum shares box-row chunks).
+  /// Returns null when the structure cannot be duplicated (e.g. it
+  /// owns an external resource such as a durable log); callers
+  /// requiring clonability must check once up front.
   virtual std::unique_ptr<QueryMethod<T>> Clone() const { return nullptr; }
 
   /// Storage footprint in cells.
   virtual MemoryStats Memory() const = 0;
+
+  /// Cells this structure does not share with another copy: after a
+  /// Clone and some writes, the cells the clone has copied. Deep
+  /// copies share nothing.
+  virtual int64_t UnsharedCells() const { return Memory().total(); }
 };
 
 }  // namespace rps

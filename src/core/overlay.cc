@@ -44,6 +44,27 @@ OverlayGeometry::OverlayGeometry(const Shape& cube_shape,
   }
   slot_base_[static_cast<size_t>(num_boxes)] = base;
   total_stored_cells_ = base;
+
+  const int64_t rows = grid_shape_.extent(0);
+  RPS_CHECK_MSG(rows <= std::numeric_limits<int32_t>::max(),
+                "overlay box rows must fit the coordinate tables");
+  const int64_t k0 = box_size[0];
+  const int64_t row_stride = cube_shape.Stride(0);
+  const int64_t boxes_per_row = grid_shape_.Stride(0);
+  box_rows_.reserve(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t first = slot_base_[static_cast<size_t>(r * boxes_per_row)];
+    const int64_t end =
+        slot_base_[static_cast<size_t>((r + 1) * boxes_per_row)];
+    box_rows_.push_back(
+        BoxRow{r * k0 * row_stride,
+               std::min(k0, cube_shape.extent(0) - r * k0) * row_stride,
+               first, end - first});
+  }
+  row_of_.reserve(static_cast<size_t>(cube_shape.extent(0)));
+  for (int64_t x = 0; x < cube_shape.extent(0); ++x) {
+    row_of_.push_back(static_cast<int32_t>(x / k0));
+  }
 }
 
 CellIndex OverlayGeometry::BoxIndexOf(const CellIndex& cell) const {
@@ -175,6 +196,22 @@ Status OverlayGeometry::CheckInvariants(int64_t max_boxes) const {
   if (slot_base_[static_cast<size_t>(num)] != total_stored_cells_) {
     return Status::Internal("overlay slot table does not end at "
                             "total_stored_cells");
+  }
+
+  // Box rows must tile the RP cells and the slots in order.
+  int64_t rp_end = 0;
+  int64_t slot_end = 0;
+  for (int64_t r = 0; r < num_box_rows(); ++r) {
+    const BoxRow& row = box_row(r);
+    if (row.rp_begin != rp_end || row.slot_begin != slot_end) {
+      return Status::Internal("box row " + std::to_string(r) +
+                              " does not start where the previous one ends");
+    }
+    rp_end += row.rp_cells;
+    slot_end += row.slots;
+  }
+  if (rp_end != cube_shape_.num_cells() || slot_end != total_stored_cells_) {
+    return Status::Internal("box rows do not cover the RP cells and slots");
   }
 
   // For a sample of boxes, SlotOf must map the box's stored cells

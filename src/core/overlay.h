@@ -8,8 +8,7 @@
 // box (Figure 6). OverlayGeometry maps (box, in-box offset) to a slot
 // in a flat value vector in O(d) with no search, and maps a prefix
 // lookup's target to the slots it reads, and an update to the runs of
-// cells it writes, with per-dimension tables and no division;
-// Overlay<T> adds the value storage.
+// cells it writes, with per-dimension tables and no division.
 //
 // Stored-value semantics (d-dimensional; see DESIGN.md Section 1):
 // for overlay cell c of the box anchored at a, with
@@ -37,7 +36,10 @@ namespace rps {
 
 /// Shape bookkeeping for an overlay: box grid, clipped box extents,
 /// and the compact indexing of stored (anchor + border) cells.
-class OverlayGeometry {
+/// Structures and their clones share one geometry through a
+/// shared_ptr; cache-line alignment keeps the reference count that
+/// every clone bumps off the lines that lookups read.
+class alignas(64) OverlayGeometry {
  public:
   /// `box_size` has one side length per dimension, each in
   /// [1, extent]. Use cost-model helpers to choose sizes.
@@ -126,6 +128,37 @@ class OverlayGeometry {
     return coords_[static_cast<size_t>(coord_start_[j] + x)].offset;
   }
 
+  /// A box row: the boxes sharing one dimension-0 grid coordinate, the
+  /// unit of copy-on-write storage (core/box_row_store.h). Its RP cells
+  /// (cube rows of the box row, row-major) and its boxes' overlay
+  /// values (slot order) are each contiguous; a chunk holds the RP
+  /// cells first, then the overlay values.
+  struct BoxRow {
+    int64_t rp_begin;    // row-major index of its first RP cell
+    int64_t rp_cells;    // RP cells in it
+    int64_t slot_begin;  // its first overlay slot
+    int64_t slots;       // overlay values in it
+    /// Index into the chunk of RP cell `cell` / overlay slot `slot`.
+    int64_t RpIndex(int64_t cell) const { return cell - rp_begin; }
+    int64_t SlotIndex(int64_t slot) const {
+      return slot - slot_begin + rp_cells;
+    }
+    int64_t cells() const { return rp_cells + slots; }
+  };
+  int64_t num_box_rows() const {
+    return static_cast<int64_t>(box_rows_.size());
+  }
+  const BoxRow& box_row(int64_t r) const {
+    RPS_DCHECK(r >= 0 && r < num_box_rows());
+    return box_rows_[static_cast<size_t>(r)];
+  }
+  /// Box row of cube coordinate `x` of dimension 0, a table read. Every
+  /// cell a prefix lookup or ValueAt reads lies in its target's box row.
+  int64_t BoxRowOf(int64_t x) const {
+    RPS_DCHECK(x >= 0 && x < cube_shape_.extent(0));
+    return row_of_[static_cast<size_t>(x)];
+  }
+
   /// Self-audit of the geometry bookkeeping: grid extents, slot-base
   /// monotonicity, and (for up to `max_boxes` boxes) that SlotOf is a
   /// bijection from a box's stored cells onto its slot range. Returns
@@ -156,6 +189,8 @@ class OverlayGeometry {
   // coords_[coord_start_[j] + x] describes coordinate x of dimension j.
   std::vector<Coord> coords_;
   int64_t coord_start_[kMaxDims] = {};
+  std::vector<BoxRow> box_rows_;
+  std::vector<int32_t> row_of_;  // box row of each dimension-0 coordinate
 };
 
 template <int kDims, typename BorderFn>
@@ -220,9 +255,13 @@ OverlayGeometry::CornerCells OverlayGeometry::Corner(
   return {base, rp_cell};
 }
 
+// Forced inline (with write_box below) into each caller, so that state
+// the callbacks keep across calls -- RelativePrefixSum's chunk cursor --
+// stays in registers instead of being reloaded after every cell write.
 template <int kDims, typename RpFn, typename BorderFn, typename AnchorsFn>
-void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
-                              BorderFn&& border, AnchorsFn&& anchors) const {
+[[gnu::always_inline]] inline void OverlayGeometry::Scatter(
+    const int64_t* cell, RpFn&& rp, BorderFn&& border,
+    AnchorsFn&& anchors) const {
   static_assert(kDims >= 0 && kDims <= kMaxDims);
   const int d = kDims > 0 ? kDims : dims();
   RPS_DCHECK(d == dims());
@@ -303,13 +342,21 @@ void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
       start += stride[j];
     }
 
-    int64_t side[kMaxDims];  // e_j of the box being written
-    const auto write_box = [&](int64_t box, uint32_t q) {
-      const int64_t base = slot_base_[static_cast<size_t>(box)];
-      if (q == 0) {
-        border(base, 1);
-        return;
-      }
+    // The affine slot map of the boxes with sides `side` and written
+    // dimensions q, computed once per grid row and side: the boxes after
+    // the covering one in a grid row share Q and every side but the
+    // last box's innermost one.
+    struct Plan {
+      uint32_t q;
+      int h;          // the last dimension of Q: its offsets form runs
+      int64_t first;  // C + sum_{j in Q} o_j * coef_j, less the base
+      int64_t run;    // e_h - o_h
+      int64_t coef[kMaxDims];
+    };
+    int64_t side[kMaxDims];  // e_j of the boxes being planned
+    const auto plan_boxes = [&](uint32_t q, Plan* plan) {
+      plan->q = q;
+      if (q == 0) return;
       int64_t suffix[kMaxDims];  // prod_{i>j} e_i
       suffix[d - 1] = 1;
       for (int j = d - 1; j > 0; --j) suffix[j - 1] = suffix[j] * side[j];
@@ -321,41 +368,53 @@ void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
         c += group_scale * suffix[i];
         group_scale *= side[i] - 1;
       }
-      int64_t coef[kMaxDims];
       int64_t scale = suffix[g];
       for (int j = g - 1; j >= 0; --j) {
-        coef[j] = scale;
+        plan->coef[j] = scale;
         c -= scale;
         scale *= side[j] - 1;
       }
-      for (int j = g + 1; j < d; ++j) coef[j] = suffix[j];
-      int64_t slot = base + c;
+      for (int j = g + 1; j < d; ++j) plan->coef[j] = suffix[j];
       for (uint32_t rest = q; rest != 0; rest &= rest - 1) {
         const int j = __builtin_ctz(rest);
-        slot += at[j]->offset * coef[j];
+        c += at[j]->offset * plan->coef[j];
       }
+      plan->first = c;
       // Offsets in row-major order: the last dimension of Q varies
       // fastest and has the smallest coef, 1 when its run is contiguous.
-      const int h = 31 - __builtin_clz(q);
-      const int64_t run = side[h] - at[h]->offset;
+      plan->h = 31 - __builtin_clz(q);
+      plan->run = side[plan->h] - at[plan->h]->offset;
+    };
+    // The odometer's limits are sides of dimensions before the
+    // innermost, which the boxes of a grid row share.
+    const auto write_box = [&](int64_t box, const Plan& plan)
+                               __attribute__((always_inline)) {
+      const int64_t base = slot_base_[static_cast<size_t>(box)];
+      if (plan.q == 0) {
+        border(base, 1);
+        return;
+      }
+      const int h = plan.h;
+      const int64_t run = plan.run;
+      int64_t slot = base + plan.first;
       int64_t pos[kMaxDims] = {};
       for (;;) {
         RPS_DCHECK(slot >= base &&
-                   slot + (run - 1) * coef[h] <
+                   slot + (run - 1) * plan.coef[h] <
                        slot_base_[static_cast<size_t>(box) + 1]);
-        if (coef[h] == 1) {
+        if (plan.coef[h] == 1) {
           border(slot, run);
         } else {
-          for (int64_t i = 0; i < run; ++i) border(slot + i * coef[h], 1);
+          for (int64_t i = 0; i < run; ++i) border(slot + i * plan.coef[h], 1);
         }
-        uint32_t outer = q & ~(1u << h);
+        uint32_t outer = plan.q & ~(1u << h);
         for (; outer != 0; outer &= ~(1u << (31 - __builtin_clz(outer)))) {
           const int j = 31 - __builtin_clz(outer);
           if (++pos[j] < side[j] - at[j]->offset) {
-            slot += coef[j];
+            slot += plan.coef[j];
             break;
           }
-          slot -= (pos[j] - 1) * coef[j];
+          slot -= (pos[j] - 1) * plan.coef[j];
           pos[j] = 0;
         }
         if (outer == 0) break;
@@ -379,16 +438,24 @@ void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
         side[j] = entry.extent;
         if (anchor[j] == cell[j] - at[j]->offset) same |= 1u << j;
       }
-      side[d - 1] = at[d - 1]->extent;
-      if (same != (inner << 1) - 1) write_box(row, same & past);
+      Plan plan;
+      if (same != (inner << 1) - 1) {
+        side[d - 1] = at[d - 1]->extent;
+        plan_boxes(same & past, &plan);
+        write_box(row, plan);
+      }
       same &= ~inner;
       if (same == 0) {
         if (right > 0) anchors(row + 1, right);
-      } else {
-        for (int64_t i = 1; i <= right; ++i) {
-          side[d - 1] = i < right ? box_size_[d - 1] : last_side;
-          write_box(row + i, same & past);
+      } else if (right > 0) {
+        side[d - 1] = box_size_[d - 1];
+        plan_boxes(same & past, &plan);
+        for (int64_t i = 1; i < right; ++i) write_box(row + i, plan);
+        if (last_side != box_size_[d - 1]) {
+          side[d - 1] = last_side;
+          plan_boxes(same & past, &plan);
         }
+        write_box(row + right, plan);
       }
       int j = d - 2;
       for (; j >= 0; --j) {
@@ -403,7 +470,9 @@ void OverlayGeometry::Scatter(const int64_t* cell, RpFn&& rp,
   }
 }
 
-/// Overlay value storage on top of OverlayGeometry.
+/// Overlay value storage on top of OverlayGeometry, in one vector:
+/// PagedRps's in-memory overlay. RelativePrefixSum keeps its values in
+/// box-row chunks instead (core/box_row_store.h).
 template <typename T>
 class Overlay {
  public:

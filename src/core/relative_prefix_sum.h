@@ -13,19 +13,23 @@
 // prefix sums by inclusion-exclusion (Figure 3). Updates touch at most
 // the trailing part of one RP box plus bounded border/anchor cells in
 // dominating boxes (Section 4.2, Figure 14); with k = sqrt(n) the
-// worst case is O(n^(d/2)) cells (Section 4.3).
+// worst case is O(n^(d/2)) cells (Section 4.3). Both components live in
+// copy-on-write chunks, one per box row (core/box_row_store.h), so a
+// clone shares them and a write copies only the rows it reaches.
 
 #ifndef RPS_CORE_RELATIVE_PREFIX_SUM_H_
 #define RPS_CORE_RELATIVE_PREFIX_SUM_H_
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/box_row_store.h"
 #include "core/method.h"
 #include "core/overlay.h"
 #include "core/stats.h"
@@ -141,7 +145,9 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// [1, extent]).
   RelativePrefixSum(const NdArray<T>& source, const CellIndex& box_size,
                     ThreadPool* pool = &ThreadPool::Global())
-      : rp_(source.shape()), overlay_(source.shape(), box_size), pool_(pool) {
+      : geometry_(std::make_shared<const OverlayGeometry>(source.shape(),
+                                                          box_size)),
+        pool_(pool) {
     BuildFrom(source);
   }
 
@@ -154,32 +160,27 @@ class RelativePrefixSum final : public QueryMethod<T> {
       std::vector<T> overlay_values,
       ThreadPool* pool = &ThreadPool::Global()) {
     RelativePrefixSum parts(shape, box_size, PartsTag{}, pool);
-    if (static_cast<int64_t>(rp_cells.size()) != parts.rp_.num_cells()) {
+    if (static_cast<int64_t>(rp_cells.size()) != shape.num_cells()) {
       return Status::InvalidArgument("RP cell count mismatch");
     }
     if (static_cast<int64_t>(overlay_values.size()) !=
-        parts.overlay_.num_values()) {
+        parts.geometry().total_stored_cells()) {
       return Status::InvalidArgument("overlay value count mismatch");
     }
-    for (int64_t i = 0; i < parts.rp_.num_cells(); ++i) {
-      parts.rp_.at_linear(i) = rp_cells[static_cast<size_t>(i)];
-    }
-    for (int64_t slot = 0; slot < parts.overlay_.num_values(); ++slot) {
-      parts.overlay_.at_slot(slot) =
-          overlay_values[static_cast<size_t>(slot)];
-    }
+    parts.store_ = BoxRowStore<T>(parts.geometry(), rp_cells.data(),
+                                  overlay_values.data());
     return parts;
   }
 
   std::string name() const override { return "relative_prefix_sum"; }
 
   void Build(const NdArray<T>& source) override {
-    RPS_CHECK(source.shape() == rp_.shape());
+    RPS_CHECK(source.shape() == shape());
     BuildFrom(source);
   }
 
-  const Shape& shape() const override { return rp_.shape(); }
-  const OverlayGeometry& geometry() const { return overlay_.geometry(); }
+  const Shape& shape() const override { return geometry_->cube_shape(); }
+  const OverlayGeometry& geometry() const { return *geometry_; }
 
   /// P[t] = SUM(A[0..t]), assembled from anchor + border values + one
   /// RP cell. At most 2^d + 1 cell reads.
@@ -219,17 +220,39 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// (2^d RP reads; A itself is not stored).
   T ValueAt(const CellIndex& cell) const override;
 
+  /// Shares every box-row chunk (O(box rows)); each copy copies a
+  /// chunk on its first write to it (core/box_row_store.h).
   std::unique_ptr<QueryMethod<T>> Clone() const override {
     return std::make_unique<RelativePrefixSum<T>>(*this);
   }
 
   MemoryStats Memory() const override {
-    return MemoryStats{rp_.num_cells(), overlay_.num_values()};
+    return MemoryStats{shape().num_cells(), geometry().total_stored_cells()};
   }
 
-  /// Direct read access for tests and the paper-example checks.
-  const NdArray<T>& rp_array() const { return rp_; }
-  const Overlay<T>& overlay() const { return overlay_; }
+  /// The cells of the chunks this copy created: none right after a
+  /// copy, then the box rows its writes reached.
+  int64_t UnsharedCells() const override { return store_.UnsharedCells(); }
+
+  /// Box row `r`'s chunk: its RP cells, then its overlay values
+  /// (OverlayGeometry::BoxRow). Two copies share the row while their
+  /// spans start at the same address. Valid until this structure
+  /// writes the row or is destroyed.
+  std::span<const T> box_row_cells(int64_t r) const {
+    return {store_.cells(r), static_cast<size_t>(store_.row_cells(r))};
+  }
+
+  /// Copies of the RP array and of the overlay values in slot order,
+  /// assembled from the chunks (tests, audits, tools).
+  NdArray<T> MaterializeRp() const;
+  std::vector<T> MaterializeOverlay() const;
+
+  /// The stored overlay value with in-box `offsets` of box `box_index`.
+  T OverlayAt(const CellIndex& box_index, const CellIndex& offsets) const {
+    const int64_t r = box_index[0];
+    return store_.cells(r)[geometry().box_row(r).SlotIndex(
+        geometry().SlotOf(box_index, offsets))];
+  }
 
   /// The pool used by Build and large query batches (null means
   /// strictly serial). Borrowed; callers keep ownership.
@@ -245,7 +268,8 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// Recovers the source array A implied by the RP array, builds A's
   /// prefix array P, and re-derives samples of every component
   /// against their definitions:
-  ///   * geometry bookkeeping (OverlayGeometry::CheckInvariants),
+  ///   * geometry bookkeeping (OverlayGeometry::CheckInvariants) and
+  ///     one chunk of the geometry's size per box row,
   ///   * RP[t] == SUM(A[anchor(t)..t])  (Section 3.2),
   ///   * overlay stored values == their defining region sums,
   ///     via val(c) = P[c] - RP[c] - SUM(proper projections)
@@ -279,13 +303,16 @@ class RelativePrefixSum final : public QueryMethod<T> {
   struct PartsTag {};
   RelativePrefixSum(const Shape& shape, const CellIndex& box_size, PartsTag,
                     ThreadPool* pool)
-      : rp_(shape), overlay_(shape, box_size), pool_(pool) {}
+      : geometry_(std::make_shared<const OverlayGeometry>(shape, box_size)),
+        pool_(pool) {}
 
   void BuildFrom(const NdArray<T>& source);
 
-  // Computes the stored values of box `box_index` from the full
-  // prefix array (build step; boxes are independent of each other).
-  void FillOverlayBox(const NdArray<T>& prefix, const CellIndex& box_index);
+  // Computes the stored values of box `box_index` into `overlay` (slot
+  // order) from the full prefix array and the RP array (build step;
+  // boxes are independent of each other).
+  void FillOverlayBox(const NdArray<T>& prefix, const NdArray<T>& rp,
+                      const CellIndex& box_index, T* overlay) const;
 
   // Publishes the reads of one or more lookups, counted locally.
   void Publish(const LookupStats& reads) const {
@@ -294,15 +321,17 @@ class RelativePrefixSum final : public QueryMethod<T> {
   }
 
   // The Figure 12 assembly of P[target], every query path's one
-  // lookup: (anchor + RP[t]) + (0 + borders in subset-mask order).
-  // kDims as in OverlayGeometry::Corner.
+  // lookup: (anchor + RP[t]) + (0 + borders in subset-mask order),
+  // all read from the target's box-row chunk. kDims as in
+  // OverlayGeometry::Corner.
   template <int kDims>
   T PrefixAt(const int64_t* target, LookupStats* reads) const;
 
   // Inclusion-exclusion over the 2^d corners of `range`, in corner
   // mask order; d = 2 takes the compile-time instance.
   T SumOf(const Box& range, LookupStats* reads) const {
-    return rp_.dims() == 2 ? SumOf<2>(range, reads) : SumOf<0>(range, reads);
+    return shape().dims() == 2 ? SumOf<2>(range, reads)
+                               : SumOf<0>(range, reads);
   }
   template <int kDims>
   T SumOf(const Box& range, LookupStats* reads) const;
@@ -310,14 +339,15 @@ class RelativePrefixSum final : public QueryMethod<T> {
   // Adds `delta` to every cell an update of `cell` writes
   // (OverlayGeometry::Scatter), except the anchors of strictly
   // dominating boxes: those get *anchor_delta, or are left alone when
-  // it is null (AddBatch writes them once per box). kDims as in
+  // it is null (AddBatch writes them once per box). Makes each box
+  // row's chunk private before its first write. kDims as in
   // OverlayGeometry::Corner. Returns cells touched.
   UpdateStats ScatterAdd(const CellIndex& cell, T delta,
                          const T* anchor_delta) {
     int64_t at[kMaxDims];
     for (int j = 0; j < cell.dims(); ++j) at[j] = cell[j];
-    return rp_.dims() == 2 ? ScatterAdd<2>(at, delta, anchor_delta)
-                           : ScatterAdd<0>(at, delta, anchor_delta);
+    return shape().dims() == 2 ? ScatterAdd<2>(at, delta, anchor_delta)
+                               : ScatterAdd<0>(at, delta, anchor_delta);
   }
   template <int kDims>
   UpdateStats ScatterAdd(const int64_t* cell, T delta, const T* anchor_delta);
@@ -329,8 +359,9 @@ class RelativePrefixSum final : public QueryMethod<T> {
     obs::RelaxedCounter rp_reads;
   };
 
-  NdArray<T> rp_;
-  Overlay<T> overlay_;
+  // Immutable, so copies share it.
+  std::shared_ptr<const OverlayGeometry> geometry_;
+  BoxRowStore<T> store_;
   ThreadPool* pool_ = nullptr;
   ParallelPolicy policy_;
   mutable AtomicLookupStats lookups_;
@@ -342,7 +373,7 @@ class RelativePrefixSum final : public QueryMethod<T> {
 template <typename T>
 void RelativePrefixSum<T>::BuildFrom(const NdArray<T>& source) {
   const Shape& shape = source.shape();
-  const OverlayGeometry& geo = overlay_.geometry();
+  const OverlayGeometry& geo = geometry();
   const int d = shape.dims();
   ThreadPool* pool =
       (pool_ != nullptr && shape.num_cells() >= policy_.min_parallel_cells)
@@ -351,14 +382,15 @@ void RelativePrefixSum<T>::BuildFrom(const NdArray<T>& source) {
 
   // RP: prefix sums restarted at every box boundary, one segmented
   // row-kernel pass per dimension (O(d*N)).
-  rp_ = source;
+  NdArray<T> rp = source;
   for (int dim = 0; dim < d; ++dim) {
-    SegmentedPrefixSumAlongDim(rp_, dim, geo.box_size()[dim], pool);
+    SegmentedPrefixSumAlongDim(rp, dim, geo.box_size()[dim], pool);
   }
 
   // Full prefix array P, used once to fill the overlay.
   NdArray<T> prefix = source;
   PrefixSumInPlace(prefix, pool);
+  std::vector<T> overlay(static_cast<size_t>(geo.total_stored_cells()));
 
   // Overlay values, box by box. Each box reads only P, RP and its own
   // already-computed projections (FillOverlayBox assigns every stored
@@ -370,7 +402,7 @@ void RelativePrefixSum<T>::BuildFrom(const NdArray<T>& source) {
   auto fill_boxes = [&](int64_t box_lo, int64_t box_hi) {
     CellIndex box_index = grid.Delinearize(box_lo);
     for (int64_t b = box_lo; b < box_hi; ++b) {
-      FillOverlayBox(prefix, box_index);
+      FillOverlayBox(prefix, rp, box_index, overlay.data());
       NextIndex(grid, box_index);
     }
   };
@@ -383,19 +415,22 @@ void RelativePrefixSum<T>::BuildFrom(const NdArray<T>& source) {
   } else {
     fill_boxes(0, num_boxes);
   }
+  store_ = BoxRowStore<T>(geo, rp.data(), overlay.data());
 }
 
 template <typename T>
 void RelativePrefixSum<T>::FillOverlayBox(const NdArray<T>& prefix,
-                                          const CellIndex& box_index) {
+                                          const NdArray<T>& rp,
+                                          const CellIndex& box_index,
+                                          T* overlay) const {
   // Stored cells are visited in row-major offset order, so every
   // proper projection of a cell (some positive offsets zeroed) is
   // already computed; by
   //   P[c] - RP[c] = sum over S' subset of S(c) of val(c_{S'}),
   // the new value is P[c] - RP[c] minus the previously computed
   // projections (DESIGN.md, Section 1).
-  const OverlayGeometry& geo = overlay_.geometry();
-  const int d = rp_.dims();
+  const OverlayGeometry& geo = geometry();
+  const int d = rp.dims();
   const CellIndex anchor = geo.AnchorOf(box_index);
   const CellIndex extents = geo.ExtentsOf(box_index);
   CellIndex extents_hi = extents;
@@ -413,7 +448,7 @@ void RelativePrefixSum<T>::FillOverlayBox(const NdArray<T>& prefix,
     if (!stored) continue;
     CellIndex cell = anchor;
     for (int j = 0; j < d; ++j) cell[j] = anchor[j] + offsets[j];
-    T value = prefix.at(cell) - rp_.at(cell);
+    T value = prefix.at(cell) - rp.at(cell);
     // Subtract the values of all proper projections (subsets of the
     // positive-offset dimensions).
     int positive[kMaxDims];
@@ -427,20 +462,20 @@ void RelativePrefixSum<T>::FillOverlayBox(const NdArray<T>& prefix,
       for (int i = 0; i < num_positive; ++i) {
         if (mask & (1u << i)) proj[positive[i]] = offsets[positive[i]];
       }
-      value -= overlay_.at(box_index, proj);
+      value -= overlay[geo.SlotOf(box_index, proj)];
     }
-    overlay_.at(box_index, offsets) = value;
+    overlay[geo.SlotOf(box_index, offsets)] = value;
   } while (NextIndexInBox(offsets_box, offsets));
 }
 
 template <typename T>
 T RelativePrefixSum<T>::PrefixSum(const CellIndex& target) const {
-  RPS_DCHECK(rp_.shape().Contains(target));
+  RPS_DCHECK(shape().Contains(target));
   int64_t at[kMaxDims];
   for (int j = 0; j < target.dims(); ++j) at[j] = target[j];
   LookupStats reads;
   const T total =
-      rp_.dims() == 2 ? PrefixAt<2>(at, &reads) : PrefixAt<0>(at, &reads);
+      shape().dims() == 2 ? PrefixAt<2>(at, &reads) : PrefixAt<0>(at, &reads);
   Publish(reads);
   return total;
 }
@@ -449,22 +484,28 @@ template <typename T>
 template <int kDims>
 T RelativePrefixSum<T>::PrefixAt(const int64_t* target,
                                  LookupStats* reads) const {
+  const OverlayGeometry& geo = geometry();
+  const int64_t r = geo.BoxRowOf(target[0]);
+  const OverlayGeometry::BoxRow& row = geo.box_row(r);
+  const T* chunk = store_.cells(r);
+  const int64_t shift = row.rp_cells - row.slot_begin;
   T borders{};
   const OverlayGeometry::CornerCells cells =
-      overlay_.geometry().template Corner<kDims>(target, [&](int64_t slot) {
-        borders += overlay_.at_slot(slot);
+      geo.template Corner<kDims>(target, [&](int64_t slot) {
+        borders += chunk[slot + shift];
         ++reads->overlay_reads;
       });
   ++reads->overlay_reads;
   ++reads->rp_reads;
-  return (overlay_.at_slot(cells.anchor_slot) + rp_.at_linear(cells.rp_cell)) +
+  return (chunk[cells.anchor_slot + shift] +
+          chunk[cells.rp_cell - row.rp_begin]) +
          borders;
 }
 
 template <typename T>
 template <int kDims>
 T RelativePrefixSum<T>::SumOf(const Box& range, LookupStats* reads) const {
-  const int d = kDims > 0 ? kDims : rp_.dims();
+  const int d = kDims > 0 ? kDims : shape().dims();
   T total{};
   int64_t corner[kMaxDims];
   for (uint32_t mask = 0; mask < (1u << d); ++mask) {
@@ -502,7 +543,7 @@ T RelativePrefixSum<T>::RangeSum(const Box& range) const {
   // Tree node for slow-query capture: one thread-local load when no
   // collector is active, so the always-on cost stays flat.
   obs::CollectorSpan span("core.rps.range_sum");
-  RPS_CHECK(range.Within(rp_.shape()));
+  RPS_CHECK(range.Within(shape()));
   LookupStats reads;
   const T total = SumOf(range, &reads);
   Publish(reads);
@@ -525,13 +566,13 @@ void RelativePrefixSum<T>::RangeSumBatch(std::span<const Box> ranges,
     LookupStats reads;
     for (int64_t q = lo; q < hi; ++q) {
       const Box& range = ranges[static_cast<size_t>(q)];
-      RPS_CHECK(range.Within(rp_.shape()));
+      RPS_CHECK(range.Within(shape()));
       results[static_cast<size_t>(q)] = SumOf(range, &reads);
     }
     Publish(reads);
   };
   // Estimated cell reads: 2^d corners with roughly 2^d reads each.
-  const int shift = std::min(2 * rp_.dims(), 20);
+  const int shift = std::min(2 * shape().dims(), 20);
   if (pool_ != nullptr && (n << shift) >= policy_.min_parallel_cells) {
     const int64_t grain =
         std::max<int64_t>(1, policy_.min_parallel_cells >> shift);
@@ -542,10 +583,35 @@ void RelativePrefixSum<T>::RangeSumBatch(std::span<const Box> ranges,
 }
 
 template <typename T>
+NdArray<T> RelativePrefixSum<T>::MaterializeRp() const {
+  NdArray<T> rp(shape());
+  for (int64_t r = 0; r < geometry().num_box_rows(); ++r) {
+    const OverlayGeometry::BoxRow& row = geometry().box_row(r);
+    std::copy_n(store_.cells(r), row.rp_cells, rp.data() + row.rp_begin);
+  }
+  return rp;
+}
+
+template <typename T>
+std::vector<T> RelativePrefixSum<T>::MaterializeOverlay() const {
+  std::vector<T> overlay(static_cast<size_t>(geometry().total_stored_cells()));
+  for (int64_t r = 0; r < geometry().num_box_rows(); ++r) {
+    const OverlayGeometry::BoxRow& row = geometry().box_row(r);
+    std::copy_n(store_.cells(r) + row.rp_cells, row.slots,
+                overlay.data() + row.slot_begin);
+  }
+  return overlay;
+}
+
+template <typename T>
 T RelativePrefixSum<T>::ValueAt(const CellIndex& cell) const {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& shape = rp_.shape();
+  const OverlayGeometry& geo = geometry();
+  const Shape& shape = this->shape();
   RPS_DCHECK(shape.Contains(cell));
+  // Every cell read lies in the cell's box, so in its box-row chunk.
+  const int64_t r = geo.BoxRowOf(cell[0]);
+  const OverlayGeometry::BoxRow& row = geo.box_row(r);
+  const T* chunk = store_.cells(r);
   // Box-local differencing: A[u] = sum over subsets V of
   // {j : u_j > a_j} of (-1)^|V| RP[u - 1_V], by linear index.
   int64_t linear = 0;
@@ -563,9 +629,9 @@ T RelativePrefixSum<T>::ValueAt(const CellIndex& cell) const {
       if (mask & (1u << i)) probe -= step[i];
     }
     if (__builtin_popcount(mask) % 2 == 0) {
-      total += rp_.at_linear(probe);
+      total += chunk[row.RpIndex(probe)];
     } else {
-      total -= rp_.at_linear(probe);
+      total -= chunk[row.RpIndex(probe)];
     }
   }
   return total;
@@ -574,7 +640,7 @@ T RelativePrefixSum<T>::ValueAt(const CellIndex& cell) const {
 template <typename T>
 UpdateStats RelativePrefixSum<T>::Add(const CellIndex& cell, T delta) {
   obs::CollectorSpan span("core.rps.add");
-  RPS_CHECK(rp_.shape().Contains(cell));
+  RPS_CHECK(shape().Contains(cell));
   // The RP tail of the covering box (cascading stops at the box
   // boundary -- Section 4.2) and every dominating box's affected
   // overlay cells (Figure 14).
@@ -593,23 +659,51 @@ template <typename T>
 template <int kDims>
 UpdateStats RelativePrefixSum<T>::ScatterAdd(const int64_t* cell, T delta,
                                              const T* anchor_delta) {
-  const OverlayGeometry& geo = overlay_.geometry();
+  const OverlayGeometry& geo = geometry();
   UpdateStats stats;
+  // The scatter reaches box rows in increasing order: the covering
+  // box's RP tail first, then the dominating boxes in grid-linear
+  // order, in every box row from the covering one on. Each chunk is
+  // made private when the first write lands in it.
+  int64_t r = geo.BoxRowOf(cell[0]);
+  const OverlayGeometry::BoxRow& tail_row = geo.box_row(r);
+  T* chunk = store_.MutableCells(r);
+  T* const tail = chunk;  // every RP run lies in the covering box row
+  // Slots below slot_end sit at chunk[slot + shift]. This cursor and
+  // the callbacks that use it are forced inline, as Scatter is, so it
+  // stays in registers.
+  int64_t slot_end = tail_row.slot_begin + tail_row.slots;
+  int64_t shift = tail_row.rp_cells - tail_row.slot_begin;
+  const auto slot_cell = [&](int64_t slot) __attribute__((always_inline)) {
+    if (slot >= slot_end) [[unlikely]] {
+      const OverlayGeometry::BoxRow* row;
+      do {
+        row = &geo.box_row(++r);
+      } while (slot >= row->slot_begin + row->slots);
+      chunk = store_.MutableCells(r);
+      slot_end = row->slot_begin + row->slots;
+      shift = row->rp_cells - row->slot_begin;
+    }
+    return chunk + (slot + shift);
+  };
   geo.template Scatter<kDims>(
       cell,
       [&](int64_t start, int64_t len) {
-        RPS_DCHECK(start >= 0 && start + len <= rp_.num_cells());
-        AddToRow(rp_.data() + start, len, delta);
+        RPS_DCHECK(start >= tail_row.rp_begin &&
+                   start + len <= tail_row.rp_begin + tail_row.rp_cells);
+        AddToRow(tail + tail_row.RpIndex(start), len, delta);
         stats.primary_cells += len;
       },
-      [&](int64_t slot, int64_t len) {
-        AddToRow(overlay_.slot_span(slot, len), len, delta);
+      [&](int64_t slot, int64_t len) __attribute__((always_inline)) {
+        RPS_DCHECK(slot + len <= geo.total_stored_cells());
+        AddToRow(slot_cell(slot), len, delta);
         stats.aux_cells += len;
       },
       [&](int64_t box, int64_t count) {
         if (anchor_delta == nullptr) return;
+        const T value = *anchor_delta;
         for (int64_t i = 0; i < count; ++i) {
-          overlay_.at_slot(geo.AnchorSlotOfLinear(box + i)) += *anchor_delta;
+          *slot_cell(geo.AnchorSlotOfLinear(box + i)) += value;
         }
         stats.aux_cells += count;
       });
@@ -619,18 +713,23 @@ UpdateStats RelativePrefixSum<T>::ScatterAdd(const int64_t* cell, T delta,
 template <typename T>
 Status RelativePrefixSum<T>::CheckInvariants(
     const AuditOptions& options) const {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& shape = rp_.shape();
+  const OverlayGeometry& geo = geometry();
+  const Shape& shape = this->shape();
   const int d = shape.dims();
 
   // Structural checks first: everything below indexes through these.
-  if (!(geo.cube_shape() == shape)) {
-    return Status::Internal("overlay cube shape disagrees with RP shape");
-  }
-  if (overlay_.num_values() != geo.total_stored_cells()) {
-    return Status::Internal("overlay value count disagrees with geometry");
-  }
   RPS_RETURN_IF_ERROR(geo.CheckInvariants());
+  if (store_.num_rows() != geo.num_box_rows()) {
+    return Status::Internal("chunk count disagrees with the box rows");
+  }
+  for (int64_t r = 0; r < geo.num_box_rows(); ++r) {
+    if (store_.row_cells(r) != geo.box_row(r).cells()) {
+      return Status::Internal("chunk of box row " + std::to_string(r) +
+                              " disagrees with the geometry's size");
+    }
+  }
+  const NdArray<T> rp = MaterializeRp();
+  const std::vector<T> overlay = MaterializeOverlay();
 
   // Recover the implied source array A (box-local differencing of RP)
   // and its full prefix array P. Both are exact inverses of the build
@@ -655,7 +754,7 @@ Status RelativePrefixSum<T>::CheckInvariants(
   auto audit_rp_cell = [&](const CellIndex& t) -> Status {
     const CellIndex anchor = geo.AnchorOf(geo.BoxIndexOf(t));
     const T expected = SumFromPrefixArray(prefix, Box(anchor, t));
-    if (!internal_audit::CellsEqual(rp_.at(t), expected)) {
+    if (!internal_audit::CellsEqual(rp.at(t), expected)) {
       return Status::Internal(
           "RP cell " + t.ToString() +
           " disagrees with the box-local sum of the recovered source");
@@ -698,14 +797,14 @@ Status RelativePrefixSum<T>::CheckInvariants(
           proj[positive[i]] = anchor[positive[i]] + offsets[positive[i]];
         }
       }
-      T value = prefix.at(proj) - rp_.at(proj);
+      T value = prefix.at(proj) - rp.at(proj);
       for (uint32_t sub = 0; sub < mask; ++sub) {
         if ((sub & mask) == sub) value -= expected[sub];
       }
       expected[mask] = value;
     }
     const uint32_t full_mask = (1u << num_positive) - 1;
-    if (!internal_audit::CellsEqual(overlay_.at(box_index, offsets),
+    if (!internal_audit::CellsEqual(overlay[geo.SlotOf(box_index, offsets)],
                                     expected[full_mask])) {
       return Status::Internal(
           "overlay value at offsets " + offsets.ToString() + " of box " +
@@ -713,7 +812,7 @@ Status RelativePrefixSum<T>::CheckInvariants(
     }
     return Status::Ok();
   };
-  if (options.overlay_samples >= overlay_.num_values()) {
+  if (options.overlay_samples >= geo.total_stored_cells()) {
     // Exhaustive: every stored cell of every box.
     CellIndex box_index = CellIndex::Filled(d, 0);
     const int64_t num_boxes = geo.num_boxes();
@@ -776,8 +875,8 @@ Status RelativePrefixSum<T>::CheckInvariants(
 template <typename T>
 UpdateStats RelativePrefixSum<T>::AddBatch(
     const std::vector<CellDelta>& deltas) {
-  const OverlayGeometry& geo = overlay_.geometry();
-  const Shape& shape = rp_.shape();
+  const OverlayGeometry& geo = geometry();
+  const Shape& shape = this->shape();
   const Shape& grid = geo.grid_shape();
   UpdateStats stats;
 

@@ -50,18 +50,13 @@ Status SaveSnapshot(const RelativePrefixSum<T>& rps, const std::string& path,
   for (int j = 0; j < shape.dims(); ++j) {
     RPS_RETURN_IF_ERROR(writer.WriteScalar<int64_t>(box_size[j]));
   }
-  // RP cells in linear order.
-  std::vector<T> rp_cells(static_cast<size_t>(rps.rp_array().num_cells()));
-  std::memcpy(rp_cells.data(), rps.rp_array().data(),
-              rp_cells.size() * sizeof(T));
-  RPS_RETURN_IF_ERROR(writer.WriteVector(rp_cells));
+  // RP cells in linear order (written as WriteVector would).
+  const NdArray<T> rp = rps.MaterializeRp();
+  RPS_RETURN_IF_ERROR(writer.WriteScalar<int64_t>(rp.num_cells()));
+  RPS_RETURN_IF_ERROR(writer.WriteBytes(
+      rp.data(), static_cast<size_t>(rp.num_cells()) * sizeof(T)));
   // Overlay values in slot order.
-  std::vector<T> overlay_values(
-      static_cast<size_t>(rps.overlay().num_values()));
-  for (int64_t slot = 0; slot < rps.overlay().num_values(); ++slot) {
-    overlay_values[static_cast<size_t>(slot)] = rps.overlay().at_slot(slot);
-  }
-  RPS_RETURN_IF_ERROR(writer.WriteVector(overlay_values));
+  RPS_RETURN_IF_ERROR(writer.WriteVector(rps.MaterializeOverlay()));
   return writer.FinishWithChecksum(options.durable);
 }
 

@@ -20,42 +20,37 @@ const char* EngineMethodName(EngineMethod method) {
   return "?";
 }
 
-std::unique_ptr<QueryMethod<double>> MakeDoubleMethod(EngineMethod method,
-                                                      const Shape& shape,
-                                                      ThreadPool* pool) {
-  const NdArray<double> empty(shape, 0.0);
+namespace {
+
+template <typename T>
+std::unique_ptr<QueryMethod<T>> MakeMethod(EngineMethod method,
+                                           const NdArray<T>& source,
+                                           ThreadPool* pool) {
   switch (method) {
     case EngineMethod::kNaive:
-      return std::make_unique<NaiveMethod<double>>(empty);
+      return std::make_unique<NaiveMethod<T>>(source);
     case EngineMethod::kPrefixSum:
-      return std::make_unique<PrefixSumMethod<double>>(empty);
+      return std::make_unique<PrefixSumMethod<T>>(source);
     case EngineMethod::kRelativePrefixSum:
-      return std::make_unique<RelativePrefixSum<double>>(empty, pool);
+      return std::make_unique<RelativePrefixSum<T>>(source, pool);
     case EngineMethod::kFenwick:
-      return std::make_unique<FenwickMethod<double>>(empty);
+      return std::make_unique<FenwickMethod<T>>(source);
     case EngineMethod::kHierarchicalRps:
-      return std::make_unique<HierarchicalRps<double>>(empty, pool);
+      return std::make_unique<HierarchicalRps<T>>(source, pool);
   }
   return nullptr;
 }
 
-std::unique_ptr<QueryMethod<int64_t>> MakeCountMethod(EngineMethod method,
-                                                      const Shape& shape,
-                                                      ThreadPool* pool) {
-  const NdArray<int64_t> empty(shape, 0);
-  switch (method) {
-    case EngineMethod::kNaive:
-      return std::make_unique<NaiveMethod<int64_t>>(empty);
-    case EngineMethod::kPrefixSum:
-      return std::make_unique<PrefixSumMethod<int64_t>>(empty);
-    case EngineMethod::kRelativePrefixSum:
-      return std::make_unique<RelativePrefixSum<int64_t>>(empty, pool);
-    case EngineMethod::kFenwick:
-      return std::make_unique<FenwickMethod<int64_t>>(empty);
-    case EngineMethod::kHierarchicalRps:
-      return std::make_unique<HierarchicalRps<int64_t>>(empty, pool);
-  }
-  return nullptr;
+}  // namespace
+
+std::unique_ptr<QueryMethod<double>> MakeDoubleMethod(
+    EngineMethod method, const NdArray<double>& source, ThreadPool* pool) {
+  return MakeMethod(method, source, pool);
+}
+
+std::unique_ptr<QueryMethod<int64_t>> MakeCountMethod(
+    EngineMethod method, const NdArray<int64_t>& source, ThreadPool* pool) {
+  return MakeMethod(method, source, pool);
 }
 
 }  // namespace rps

@@ -47,15 +47,15 @@ enum class EngineMethod {
 const char* EngineMethodName(EngineMethod method);
 
 /// Factories for the underlying structures, shared by the engines.
-/// The returned structure is built over an all-zero cube of `shape`.
-/// `pool` (borrowed, must outlive the structure; may be null for
-/// strictly serial execution) drives parallel builds and large query
-/// batches in the pool-aware methods; the others ignore it.
+/// The returned structure is built once, from `source`. `pool`
+/// (borrowed, must outlive the structure; may be null for strictly
+/// serial execution) drives parallel builds and large query batches in
+/// the pool-aware methods; the others ignore it.
 std::unique_ptr<QueryMethod<double>> MakeDoubleMethod(
-    EngineMethod method, const Shape& shape,
+    EngineMethod method, const NdArray<double>& source,
     ThreadPool* pool = &ThreadPool::Global());
 std::unique_ptr<QueryMethod<int64_t>> MakeCountMethod(
-    EngineMethod method, const Shape& shape,
+    EngineMethod method, const NdArray<int64_t>& source,
     ThreadPool* pool = &ThreadPool::Global());
 
 /// One input record: raw dimension values (schema order) + measure.

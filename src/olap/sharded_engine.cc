@@ -78,8 +78,9 @@ ShardedOlapEngine::ShardedOlapEngine(Schema schema, EngineMethod method,
   for (int s = 0; s < count; ++s) {
     const Shape sub = ShardShape(s);
     auto state = std::make_shared<ShardState>();
-    state->sums = MakeDoubleMethod(method_, sub, pool_);
-    state->counts = MakeCountMethod(method_, sub, pool_);
+    state->sums = MakeDoubleMethod(method_, NdArray<double>(sub, 0.0), pool_);
+    state->counts =
+        MakeCountMethod(method_, NdArray<int64_t>(sub, int64_t{0}), pool_);
     state->generation = 1;
     RPS_CHECK_MSG(state->sums->Clone() != nullptr &&
                       state->counts->Clone() != nullptr,
@@ -258,10 +259,8 @@ void ShardedOlapEngine::BuildAndPublish(const DenseShards& dense) {
   next->shards.reserve(dense.sums.size());
   for (size_t s = 0; s < dense.sums.size(); ++s) {
     auto state = std::make_shared<ShardState>();
-    state->sums = MakeDoubleMethod(method_, dense.sums[s].shape(), pool_);
-    state->sums->Build(dense.sums[s]);
-    state->counts = MakeCountMethod(method_, dense.counts[s].shape(), pool_);
-    state->counts->Build(dense.counts[s]);
+    state->sums = MakeDoubleMethod(method_, dense.sums[s], pool_);
+    state->counts = MakeCountMethod(method_, dense.counts[s], pool_);
     state->generation = generation;
     next->shards.push_back(std::move(state));
   }
@@ -366,12 +365,14 @@ Status ShardedOlapEngine::Apply(std::span<const OlapRecord> records,
     replacement->sums = current->shards[s]->sums->Clone();
     replacement->counts = current->shards[s]->counts->Clone();
     replacement->generation = generation;
-    cloned_cells += replacement->sums->Memory().total() +
-                    replacement->counts->Memory().total();
     for (const LocalUpdate& update : per_shard[s]) {
       touched += replacement->sums->Add(update.cell, update.measure);
       touched += replacement->counts->Add(update.cell, 1);
     }
+    // What the clones copied: all of a deep copy, the box rows the
+    // sub-batch reached for RPS.
+    cloned_cells += replacement->sums->UnsharedCells() +
+                    replacement->counts->UnsharedCells();
     next->shards[s] = std::move(replacement);
   }
   cloned_cells_total_->Increment(cloned_cells);

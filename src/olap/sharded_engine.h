@@ -30,7 +30,8 @@
 // (HierarchicalRps shares corners across it). Updates cost one
 // clone of the touched shards per batch, which is why writers batch:
 // the clone is amortized across the batch, and untouched shards are
-// shared structurally between versions.
+// shared structurally between versions. An RPS clone shares every
+// box-row chunk, so a batch copies only the box rows it writes.
 
 #ifndef RPS_OLAP_SHARDED_ENGINE_H_
 #define RPS_OLAP_SHARDED_ENGINE_H_

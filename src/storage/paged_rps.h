@@ -62,19 +62,21 @@ class PagedRps {
     // In-memory build, then bulk load.
     RelativePrefixSum<T> built(source, options.box_size);
     RPS_RETURN_IF_ERROR(paged->AttachArrays());
-    RPS_RETURN_IF_ERROR(paged->rp_pages_->LoadFrom(built.rp_array()));
+    RPS_RETURN_IF_ERROR(paged->rp_pages_->LoadFrom(built.MaterializeRp()));
 
+    const std::vector<T> overlay = built.MaterializeOverlay();
+    const auto num_slots = static_cast<int64_t>(overlay.size());
     if (options.overlay_on_disk) {
-      for (int64_t slot = 0; slot < built.overlay().num_values(); ++slot) {
+      for (int64_t slot = 0; slot < num_slots; ++slot) {
         RPS_RETURN_IF_ERROR(paged->overlay_pages_->Set(
-            CellIndex{slot}, built.overlay().at_slot(slot)));
+            CellIndex{slot}, overlay[static_cast<size_t>(slot)]));
       }
       RPS_RETURN_IF_ERROR(paged->pool_.FlushAll());
     } else {
       paged->overlay_ram_ = std::make_unique<Overlay<T>>(
           source.shape(), options.box_size);
-      for (int64_t slot = 0; slot < built.overlay().num_values(); ++slot) {
-        paged->overlay_ram_->at_slot(slot) = built.overlay().at_slot(slot);
+      for (int64_t slot = 0; slot < num_slots; ++slot) {
+        paged->overlay_ram_->at_slot(slot) = overlay[static_cast<size_t>(slot)];
       }
     }
     RPS_RETURN_IF_ERROR(paged->Persist());

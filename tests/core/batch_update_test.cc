@@ -37,12 +37,13 @@ TEST(BatchUpdateTest, EquivalentToSequentialAdds) {
     for (const CellDelta& op : batch) sequential.Add(op.cell, op.delta);
     batched.AddBatch(batch);
 
-    EXPECT_EQ(sequential.rp_array(), batched.rp_array())
+    EXPECT_EQ(sequential.MaterializeRp(), batched.MaterializeRp())
         << shape.ToString();
-    for (int64_t slot = 0; slot < sequential.overlay().num_values();
-         ++slot) {
-      ASSERT_EQ(sequential.overlay().at_slot(slot),
-                batched.overlay().at_slot(slot))
+    const std::vector<int64_t> sequential_overlay =
+        sequential.MaterializeOverlay();
+    const std::vector<int64_t> batched_overlay = batched.MaterializeOverlay();
+    for (size_t slot = 0; slot < sequential_overlay.size(); ++slot) {
+      ASSERT_EQ(sequential_overlay[slot], batched_overlay[slot])
           << "slot " << slot << " shape " << shape.ToString();
     }
   }
@@ -73,7 +74,7 @@ TEST(BatchUpdateTest, CoalescingWritesFewerCells) {
   // The saving is (m - 1) * strict dominator count = 19 * 7*7.
   EXPECT_EQ(sequential_stats.total() - batched_stats.total(), 19 * 49);
   // And the structures agree.
-  EXPECT_EQ(sequential.rp_array(), batched.rp_array());
+  EXPECT_EQ(sequential.MaterializeRp(), batched.MaterializeRp());
 }
 
 TEST(BatchUpdateTest, EmptyBatchIsNoOp) {
@@ -94,7 +95,7 @@ TEST(BatchUpdateTest, SingleElementBatchMatchesAddCost) {
   const UpdateStats batch_stats = b.AddBatch({{cell, 7}});
   EXPECT_EQ(add_stats.primary_cells, batch_stats.primary_cells);
   EXPECT_EQ(add_stats.aux_cells, batch_stats.aux_cells);
-  EXPECT_EQ(a.rp_array(), b.rp_array());
+  EXPECT_EQ(a.MaterializeRp(), b.MaterializeRp());
 }
 
 TEST(BatchUpdateTest, CrossBoxBatchesStayCorrect) {

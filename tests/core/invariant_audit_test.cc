@@ -33,19 +33,16 @@ AuditOptions Exhaustive() {
 }
 
 std::vector<int64_t> RpCellsOf(const RelativePrefixSum<int64_t>& rps) {
+  const NdArray<int64_t> rp = rps.MaterializeRp();
   std::vector<int64_t> cells;
-  for (int64_t i = 0; i < rps.rp_array().num_cells(); ++i) {
-    cells.push_back(rps.rp_array().at_linear(i));
+  for (int64_t i = 0; i < rp.num_cells(); ++i) {
+    cells.push_back(rp.at_linear(i));
   }
   return cells;
 }
 
 std::vector<int64_t> OverlayValuesOf(const RelativePrefixSum<int64_t>& rps) {
-  std::vector<int64_t> values;
-  for (int64_t slot = 0; slot < rps.overlay().num_values(); ++slot) {
-    values.push_back(rps.overlay().at_slot(slot));
-  }
-  return values;
+  return rps.MaterializeOverlay();
 }
 
 TEST(OverlayGeometryAuditTest, PassesOnValidGeometries) {

@@ -113,7 +113,7 @@ int64_t OverlayValueAt(const RelativePrefixSum<int64_t>& rps, int64_t i,
   const CellIndex box_index = geo.BoxIndexOf(cell);
   const CellIndex anchor = geo.AnchorOf(box_index);
   const CellIndex offsets{i - anchor[0], j - anchor[1]};
-  return rps.overlay().at(box_index, offsets);
+  return rps.OverlayAt(box_index, offsets);
 }
 
 TEST(PaperExampleTest, Figure2PrefixArray) {
@@ -129,9 +129,10 @@ TEST(PaperExampleTest, Figure2PrefixArray) {
 
 TEST(PaperExampleTest, Figure10RpArray) {
   RelativePrefixSum<int64_t> rps(Figure1Cube(), CellIndex{3, 3});
+  const NdArray<int64_t> rp = rps.MaterializeRp();
   for (int64_t i = 0; i < 9; ++i) {
     for (int64_t j = 0; j < 9; ++j) {
-      EXPECT_EQ(rps.rp_array().at(CellIndex{i, j}), kFigure10[i][j])
+      EXPECT_EQ(rp.at(CellIndex{i, j}), kFigure10[i][j])
           << "RP[" << i << "," << j << "]";
     }
   }
@@ -166,7 +167,7 @@ TEST(PaperExampleTest, Section33CompleteRegionSum) {
   EXPECT_EQ(OverlayValueAt(rps, 6, 3), 86);  // anchor of covering box
   EXPECT_EQ(OverlayValueAt(rps, 6, 5), 51);  // border value X2
   EXPECT_EQ(OverlayValueAt(rps, 7, 3), 8);   // border value Y1
-  EXPECT_EQ(rps.rp_array().at(CellIndex{7, 5}), 23);
+  EXPECT_EQ(rps.MaterializeRp().at(CellIndex{7, 5}), 23);
   EXPECT_EQ(rps.PrefixSum(CellIndex{7, 5}), 168);
   EXPECT_EQ(rps.RangeSum(Box(CellIndex{0, 0}, CellIndex{7, 5})), 168);
 }
@@ -181,9 +182,10 @@ TEST(PaperExampleTest, Figure15UpdateExample) {
   EXPECT_EQ(stats.aux_cells, 12);
   EXPECT_EQ(stats.total(), 16);
 
+  const NdArray<int64_t> rp = rps.MaterializeRp();
   for (int64_t i = 0; i < 9; ++i) {
     for (int64_t j = 0; j < 9; ++j) {
-      EXPECT_EQ(rps.rp_array().at(CellIndex{i, j}), kFigure15Rp[i][j])
+      EXPECT_EQ(rp.at(CellIndex{i, j}), kFigure15Rp[i][j])
           << "RP[" << i << "," << j << "] after update";
       if (kFigure15Overlay[i][j] >= 0) {
         EXPECT_EQ(OverlayValueAt(rps, i, j), kFigure15Overlay[i][j])

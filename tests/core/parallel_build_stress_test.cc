@@ -30,11 +30,15 @@ ParallelPolicy ForceParallel() {
 
 void ExpectSameStructure(const RelativePrefixSum<int64_t>& actual,
                          const RelativePrefixSum<int64_t>& expected) {
-  ASSERT_TRUE(actual.rp_array().shape() == expected.rp_array().shape());
-  EXPECT_TRUE(actual.rp_array() == expected.rp_array());
-  ASSERT_EQ(actual.overlay().num_values(), expected.overlay().num_values());
-  for (int64_t slot = 0; slot < actual.overlay().num_values(); ++slot) {
-    ASSERT_EQ(actual.overlay().at_slot(slot), expected.overlay().at_slot(slot))
+  const NdArray<int64_t> actual_rp = actual.MaterializeRp();
+  const NdArray<int64_t> expected_rp = expected.MaterializeRp();
+  ASSERT_TRUE(actual_rp.shape() == expected_rp.shape());
+  EXPECT_TRUE(actual_rp == expected_rp);
+  const std::vector<int64_t> actual_overlay = actual.MaterializeOverlay();
+  const std::vector<int64_t> expected_overlay = expected.MaterializeOverlay();
+  ASSERT_EQ(actual_overlay.size(), expected_overlay.size());
+  for (size_t slot = 0; slot < actual_overlay.size(); ++slot) {
+    ASSERT_EQ(actual_overlay[slot], expected_overlay[slot])
         << "overlay slot " << slot;
   }
 }
@@ -102,10 +106,12 @@ TEST(ParallelBuildStressTest, HierarchicalParallelBuildMatchesSerial) {
   parallel.Build(cube);
 
   EXPECT_TRUE(parallel.rp_array() == serial.rp_array());
-  EXPECT_TRUE(parallel.coarse().rp_array() == serial.coarse().rp_array());
+  EXPECT_TRUE(parallel.coarse().MaterializeRp() ==
+              serial.coarse().MaterializeRp());
   const uint32_t full = (1u << shape.dims()) - 1;
   for (uint32_t mask = 1; mask < full; ++mask) {
-    EXPECT_TRUE(parallel.face(mask).rp_array() == serial.face(mask).rp_array())
+    EXPECT_TRUE(parallel.face(mask).MaterializeRp() ==
+                serial.face(mask).MaterializeRp())
         << "face " << mask;
   }
   EXPECT_TRUE(parallel.CheckInvariants().ok());

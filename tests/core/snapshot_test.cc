@@ -34,10 +34,12 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.value().shape(), shape);
   EXPECT_EQ(loaded.value().geometry().box_size(), (CellIndex{4, 3}));
   // Exact structural equality.
-  EXPECT_EQ(loaded.value().rp_array(), original.rp_array());
-  for (int64_t slot = 0; slot < original.overlay().num_values(); ++slot) {
-    ASSERT_EQ(loaded.value().overlay().at_slot(slot),
-              original.overlay().at_slot(slot));
+  EXPECT_EQ(loaded.value().MaterializeRp(), original.MaterializeRp());
+  const std::vector<int64_t> loaded_overlay =
+      loaded.value().MaterializeOverlay();
+  const std::vector<int64_t> original_overlay = original.MaterializeOverlay();
+  for (size_t slot = 0; slot < original_overlay.size(); ++slot) {
+    ASSERT_EQ(loaded_overlay[slot], original_overlay[slot]);
   }
   // And behavioural equality, including after further updates.
   RelativePrefixSum<int64_t> restored = std::move(loaded).value();
@@ -61,7 +63,7 @@ TEST_F(SnapshotTest, DoubleValuedRoundTrip) {
   ASSERT_TRUE(SaveSnapshot(original, path).ok());
   auto loaded = LoadSnapshot<double>(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().rp_array(), original.rp_array());
+  EXPECT_EQ(loaded.value().MaterializeRp(), original.MaterializeRp());
 }
 
 TEST_F(SnapshotTest, ValueSizeMismatchRejected) {

@@ -187,11 +187,10 @@ TEST(UpdateScatterTest, AddsAreBitwiseTheReferenceOnCentValuedDoubles) {
           static_cast<double>(rng.UniformInt(-99999, 99999)) / 100.0;
     }
     RelativePrefixSum<double> rps(cube, c.box_size, /*pool=*/nullptr);
-    const double* rp_cells = rps.rp_array().data();
-    const int64_t num_slots = rps.overlay().num_values();
-    const double* slots = rps.overlay().slot_span(0, num_slots);
-    std::vector<double> rp(rp_cells, rp_cells + cube.num_cells());
-    std::vector<double> overlay(slots, slots + num_slots);
+    const NdArray<double> built_rp = rps.MaterializeRp();
+    std::vector<double> rp(built_rp.data(),
+                           built_rp.data() + cube.num_cells());
+    std::vector<double> overlay = rps.MaterializeOverlay();
     for (int step = 0; step < 200; ++step) {
       CellIndex cell = CellIndex::Filled(c.shape.dims(), 0);
       for (int j = 0; j < c.shape.dims(); ++j) {
@@ -211,9 +210,13 @@ TEST(UpdateScatterTest, AddsAreBitwiseTheReferenceOnCentValuedDoubles) {
                 static_cast<int64_t>(region.rp_cells.size()));
       ASSERT_EQ(stats.aux_cells, static_cast<int64_t>(region.slots.size()));
     }
-    ASSERT_EQ(std::memcmp(rp.data(), rp_cells, rp.size() * sizeof(double)), 0)
+    const NdArray<double> rp_cells = rps.MaterializeRp();
+    const std::vector<double> slots = rps.MaterializeOverlay();
+    ASSERT_EQ(std::memcmp(rp.data(), rp_cells.data(),
+                          rp.size() * sizeof(double)),
+              0)
         << "RP array differs from the reference";
-    ASSERT_EQ(std::memcmp(overlay.data(), slots,
+    ASSERT_EQ(std::memcmp(overlay.data(), slots.data(),
                           overlay.size() * sizeof(double)),
               0)
         << "overlay differs from the reference";

@@ -366,7 +366,9 @@ NdArray<int64_t> DenseToArray(const Shape& shape,
 class MethodSut : public Sut {
  public:
   MethodSut(EngineMethod method, const Shape& shape)
-      : shape_(shape), method_(MakeCountMethod(method, shape, nullptr)) {}
+      : shape_(shape),
+        method_(MakeCountMethod(method, NdArray<int64_t>(shape, int64_t{0}),
+                                nullptr)) {}
 
   void Insert(const CellIndex& cell, int64_t delta) override {
     method_->Add(cell, delta);

@@ -62,18 +62,20 @@ template <typename T>
 void ExpectSameStructure(const RelativePrefixSum<T>& actual,
                          const RelativePrefixSum<T>& expected,
                          double tolerance) {
-  ASSERT_TRUE(actual.rp_array().shape() == expected.rp_array().shape());
-  for (int64_t i = 0; i < actual.rp_array().num_cells(); ++i) {
-    EXPECT_NEAR(static_cast<double>(actual.rp_array().at_linear(i)),
-                static_cast<double>(expected.rp_array().at_linear(i)),
-                tolerance)
+  const NdArray<T> actual_rp = actual.MaterializeRp();
+  const NdArray<T> expected_rp = expected.MaterializeRp();
+  ASSERT_TRUE(actual_rp.shape() == expected_rp.shape());
+  for (int64_t i = 0; i < actual_rp.num_cells(); ++i) {
+    EXPECT_NEAR(static_cast<double>(actual_rp.at_linear(i)),
+                static_cast<double>(expected_rp.at_linear(i)), tolerance)
         << "RP cell " << i;
   }
-  ASSERT_EQ(actual.overlay().num_values(), expected.overlay().num_values());
-  for (int64_t slot = 0; slot < actual.overlay().num_values(); ++slot) {
-    EXPECT_NEAR(static_cast<double>(actual.overlay().at_slot(slot)),
-                static_cast<double>(expected.overlay().at_slot(slot)),
-                tolerance)
+  const std::vector<T> actual_overlay = actual.MaterializeOverlay();
+  const std::vector<T> expected_overlay = expected.MaterializeOverlay();
+  ASSERT_EQ(actual_overlay.size(), expected_overlay.size());
+  for (size_t slot = 0; slot < actual_overlay.size(); ++slot) {
+    EXPECT_NEAR(static_cast<double>(actual_overlay[slot]),
+                static_cast<double>(expected_overlay[slot]), tolerance)
         << "overlay slot " << slot;
   }
 }

@@ -153,10 +153,12 @@ TEST_P(RpsPropertyTest, IncrementalUpdatesEqualFreshRebuild) {
   }
   const RelativePrefixSum<int64_t> rebuilt(mutated, box_size_);
   // Exact structural equality: RP arrays and overlay values.
-  EXPECT_EQ(incremental.rp_array(), rebuilt.rp_array());
-  for (int64_t slot = 0; slot < rebuilt.overlay().num_values(); ++slot) {
-    ASSERT_EQ(incremental.overlay().at_slot(slot),
-              rebuilt.overlay().at_slot(slot))
+  EXPECT_EQ(incremental.MaterializeRp(), rebuilt.MaterializeRp());
+  const std::vector<int64_t> incremental_overlay =
+      incremental.MaterializeOverlay();
+  const std::vector<int64_t> rebuilt_overlay = rebuilt.MaterializeOverlay();
+  for (size_t slot = 0; slot < rebuilt_overlay.size(); ++slot) {
+    ASSERT_EQ(incremental_overlay[slot], rebuilt_overlay[slot])
         << "overlay slot " << slot;
   }
 }

@@ -265,6 +265,58 @@ TEST_F(GroupCommitTest, CheckpointDoesNotBlockConcurrentAdd) {
   EXPECT_NE(health.find("\"commit_queue_depth\":"), std::string::npos);
 }
 
+// The frozen image shares the live structure's box-row chunks. Adds
+// that land while the image is written, in the box row a pre-freeze
+// Add already wrote, must stay out of the image: they live in the
+// rotated log, and replaying it onto an image that had absorbed them
+// would count them twice.
+TEST_F(GroupCommitTest, CheckpointImageExcludesAddsInItsBoxRows) {
+  const Shape shape{8, 8};
+  NdArray<int64_t> oracle = UniformCube(shape, 0, 9, 31);
+  {
+    DurableOptions options;
+    options.group_commit = true;
+    auto created = DurableRps<int64_t>::Create(oracle, CellIndex{4, 4},
+                                               tmp_.path(), options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto durable = std::move(created).value();
+    // Box row 1 (cube rows 4..7), written before the freeze.
+    ASSERT_TRUE(durable.Add(CellIndex{5, 2}, 3).ok());
+    oracle.at(CellIndex{5, 2}) += 3;
+
+    const std::vector<std::pair<CellIndex, int64_t>> during = {
+        {CellIndex{5, 2}, 4}, {CellIndex{6, 6}, -2}, {CellIndex{4, 0}, 9}};
+    durable.set_checkpoint_write_hook([&] {
+      std::thread writer([&] {
+        for (const auto& [cell, delta] : during) {
+          ASSERT_TRUE(durable.Add(cell, delta).ok());
+        }
+      });
+      writer.join();
+    });
+    for (const auto& [cell, delta] : during) oracle.at(cell) += delta;
+    ASSERT_TRUE(durable.Checkpoint().ok());
+    durable.set_checkpoint_write_hook(nullptr);
+    EXPECT_EQ(durable.wal_records(), static_cast<int64_t>(during.size()));
+  }
+
+  WalReplay replay;
+  auto reopened = DurableRps<int64_t>::Open(tmp_.path(), &replay,
+                                            DurableOptions{});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(replay.records.size(), 3u);
+  CellIndex cell = CellIndex::Filled(2, 0);
+  do {
+    ASSERT_EQ(reopened.value().ValueAt(cell), oracle.at(cell))
+        << cell.ToString();
+  } while (NextIndex(shape, cell));
+  UniformQueryGen gen(shape, 37);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Box range = gen.Next();
+    ASSERT_EQ(reopened.value().RangeSum(range), oracle.SumBox(range));
+  }
+}
+
 // The same pin on the durable serving engine, whose checkpoint
 // freezes a published version (S shard references) instead of cloning
 // a structure, and reads its cells back after writers are released.

@@ -129,14 +129,12 @@ TEST_F(CliEndToEndTest, AuditAcceptsHealthySnapshotsAndFlagsCorruption) {
   // ...but fail on a snapshot rebuilt with a corrupted overlay value.
   auto rps = LoadSnapshot<int64_t>(snap_);
   ASSERT_TRUE(rps.ok());
+  const NdArray<int64_t> rp = rps.value().MaterializeRp();
   std::vector<int64_t> rp_cells;
-  for (int64_t i = 0; i < rps.value().rp_array().num_cells(); ++i) {
-    rp_cells.push_back(rps.value().rp_array().at_linear(i));
+  for (int64_t i = 0; i < rp.num_cells(); ++i) {
+    rp_cells.push_back(rp.at_linear(i));
   }
-  std::vector<int64_t> overlay_values;
-  for (int64_t s = 0; s < rps.value().overlay().num_values(); ++s) {
-    overlay_values.push_back(rps.value().overlay().at_slot(s));
-  }
+  std::vector<int64_t> overlay_values = rps.value().MaterializeOverlay();
   overlay_values[overlay_values.size() / 3] += 11;
   auto corrupted = RelativePrefixSum<int64_t>::FromParts(
       rps.value().shape(), rps.value().geometry().box_size(), rp_cells,

@@ -231,11 +231,13 @@ Status CmdVerify(const ParsedArgs& args) {
                                       rps.shape().ToString());
   }
   const RelativePrefixSum<int64_t> fresh(cube, rps.geometry().box_size());
-  if (!(fresh.rp_array() == rps.rp_array())) {
+  if (!(fresh.MaterializeRp() == rps.MaterializeRp())) {
     return Status::FailedPrecondition("RP arrays differ");
   }
-  for (int64_t slot = 0; slot < fresh.overlay().num_values(); ++slot) {
-    if (fresh.overlay().at_slot(slot) != rps.overlay().at_slot(slot)) {
+  const std::vector<int64_t> fresh_overlay = fresh.MaterializeOverlay();
+  const std::vector<int64_t> overlay = rps.MaterializeOverlay();
+  for (size_t slot = 0; slot < fresh_overlay.size(); ++slot) {
+    if (fresh_overlay[slot] != overlay[slot]) {
       return Status::FailedPrecondition("overlay slot " +
                                         std::to_string(slot) + " differs");
     }
