@@ -60,11 +60,9 @@ BENCHMARK(BM_Update<HierarchicalRps<int64_t>>)
     ->Range(16, 1024)
     ->Unit(benchmark::kMicrosecond);
 
-// The batched/parallel update path: AddBatch coalesces the strict-
-// anchor writes shared by updates landing in the same box, and its
-// scatters go through the row kernels (plus the thread pool above
-// the size threshold). Reported per update for comparison with
-// BM_Update<RelativePrefixSum>.
+// The batch update path: AddBatch writes each cell a batch of 64
+// uniform updates reaches once, with their summed delta. Reported per
+// update for comparison with BM_Update<RelativePrefixSum>.
 void BM_UpdateBatch(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int64_t batch = 64;
@@ -97,9 +95,9 @@ BENCHMARK(BM_UpdateBatch)
     ->Range(16, 1024)
     ->Unit(benchmark::kMicrosecond);
 
-// Same batched path under a Zipf-skewed ("today's slice") update
-// stream: updates cluster in few boxes, so the per-group coalescing
-// of strict-anchor writes pays off directly.
+// Same batch path under a Zipf-skewed ("today's slice") update
+// stream: updates cluster in few boxes, so more of their cells are
+// shared and written once.
 void BM_UpdateBatchHotspot(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int64_t batch = 64;
@@ -132,11 +130,13 @@ BENCHMARK(BM_UpdateBatchHotspot)
     ->Range(16, 1024)
     ->Unit(benchmark::kMicrosecond);
 
-// One insert batch on one shard-sized structure: Clone, then 256 Adds
-// (what ShardedOlapEngine::Apply does per structure; the clone is
-// freed each iteration, as a retired version is). Arg rows:0 puts the
-// records in the last 8 cube rows, as the feed workload does (one box
-// row of RPS's 16); rows:1 draws uniform rows (every box row).
+// One insert batch on one shard-sized structure: Clone, then the 256
+// records (the clone is freed each iteration, as a retired version
+// is). Arg rows:0 puts the records in the last 8 cube rows, as the
+// feed workload does (one box row of RPS's 16); rows:1 draws uniform
+// rows (every box row). Arg batch:1 applies them with one AddBatch,
+// as ShardedOlapEngine::Apply does per structure; batch:0 with one Add
+// per record.
 template <typename Method>
 void BM_CloneAndBatch(benchmark::State& state) {
   const Shape shape{256, 1024};
@@ -147,16 +147,21 @@ void BM_CloneAndBatch(benchmark::State& state) {
   }
   const Method method(cube);
   Rng rng(53);
-  std::vector<std::pair<CellIndex, double>> records;
+  std::vector<QueryMethod<double>::CellDelta> records;
   for (int i = 0; i < 256; ++i) {
     const int64_t row =
         state.range(0) == 1 ? rng.UniformInt(0, 255) : rng.UniformInt(248, 255);
-    records.emplace_back(CellIndex{row, rng.UniformInt(0, 1023)},
-                         static_cast<double>(rng.UniformInt(1, 9999)));
+    records.push_back({CellIndex{row, rng.UniformInt(0, 1023)},
+                       static_cast<double>(rng.UniformInt(1, 9999))});
   }
+  const bool batch = state.range(1) == 1;
   for (auto _ : state) {
     const std::unique_ptr<QueryMethod<double>> clone = method.Clone();
-    for (const auto& [cell, value] : records) clone->Add(cell, value);
+    if (batch) {
+      clone->AddBatch(records);
+    } else {
+      for (const auto& record : records) clone->Add(record.cell, record.delta);
+    }
     benchmark::DoNotOptimize(clone.get());
     benchmark::ClobberMemory();
   }
@@ -165,14 +170,12 @@ void BM_CloneAndBatch(benchmark::State& state) {
 }
 
 BENCHMARK(BM_CloneAndBatch<RelativePrefixSum<double>>)
-    ->ArgName("rows")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"rows", "batch"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CloneAndBatch<FenwickMethod<double>>)
-    ->ArgName("rows")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"rows", "batch"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // Build cost for context: all methods build in O(d N)-ish time except

@@ -57,7 +57,7 @@ class BoxRowStore {
 
   /// One chunk per box row of `geometry`, owned by this store, filled
   /// from `rp` (the RP array in row-major order) and `overlay` (the
-  /// overlay values in slot order).
+  /// overlay values in slot order; zeros when null).
   BoxRowStore(const OverlayGeometry& geometry, const T* rp, const T* overlay)
       : token_(FreshToken()) {
     rows_.reserve(static_cast<size_t>(geometry.num_box_rows()));
@@ -68,8 +68,12 @@ class BoxRowStore {
       chunk->cells.reserve(static_cast<size_t>(row.cells()));
       chunk->cells.insert(chunk->cells.end(), rp + row.rp_begin,
                           rp + row.rp_begin + row.rp_cells);
-      chunk->cells.insert(chunk->cells.end(), overlay + row.slot_begin,
-                          overlay + row.slot_begin + row.slots);
+      if (overlay != nullptr) {
+        chunk->cells.insert(chunk->cells.end(), overlay + row.slot_begin,
+                            overlay + row.slot_begin + row.slots);
+      } else {
+        chunk->cells.resize(static_cast<size_t>(row.cells()), T{});
+      }
       rows_.push_back(Row{chunk, chunk->cells.data(), chunk->owner});
     }
   }

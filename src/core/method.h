@@ -59,6 +59,25 @@ class QueryMethod {
   /// Adds `delta` to one cell. Returns exact touched-cell counts.
   virtual UpdateStats Add(const CellIndex& cell, T delta) = 0;
 
+  /// One record of a batch update.
+  struct CellDelta {
+    CellIndex cell;
+    T delta;
+  };
+
+  /// Adds every record's delta to its cell: the same end state as one
+  /// Add per record, in order (bit for bit for integral T; a floating
+  /// T may see additions regrouped). Returns the cells written. The
+  /// base implementation loops over Add; RelativePrefixSum writes each
+  /// cell the batch reaches once.
+  virtual UpdateStats AddBatch(std::span<const CellDelta> deltas) {
+    UpdateStats stats;
+    for (const CellDelta& record : deltas) {
+      stats += Add(record.cell, record.delta);
+    }
+    return stats;
+  }
+
   /// Sets one cell to `value` (the paper's update model: "given any
   /// new value for a cell"). Returns exact touched-cell counts.
   virtual UpdateStats Set(const CellIndex& cell, T value) = 0;

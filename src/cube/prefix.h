@@ -28,22 +28,21 @@ namespace rps {
 /// pays for itself; below this, transforms stay serial.
 inline constexpr int64_t kMinCellsPerParallelChunk = int64_t{1} << 15;
 
-/// One segmented prefix pass: for every row along dimension `dim`,
-/// cell[i] += cell[i-1] except where i is a multiple of `restart`
-/// (the box-local RP scan; pass restart >= extent for a plain prefix
-/// pass). `pool` may be null for serial execution.
+/// One segmented prefix pass over the row-major cells of `shape` at
+/// `data`: for every row along dimension `dim`, cell[i] += cell[i-1]
+/// except where i is a multiple of `restart` (the box-local RP scan;
+/// pass restart >= extent for a plain prefix pass). `pool` may be null
+/// for serial execution.
 template <typename T>
-void SegmentedPrefixSumAlongDim(NdArray<T>& array, int dim, int64_t restart,
-                                ThreadPool* pool = nullptr) {
-  const Shape& shape = array.shape();
+void SegmentedPrefixSumAlongDim(T* data, const Shape& shape, int dim,
+                                int64_t restart, ThreadPool* pool = nullptr) {
   RPS_CHECK(dim >= 0 && dim < shape.dims());
   RPS_CHECK(restart >= 1);
   const int64_t extent = shape.extent(dim);
   if (extent == 1) return;
   const int64_t stride = shape.Stride(dim);
   const int64_t block = stride * extent;  // cells spanned by one row group
-  const int64_t num_blocks = array.num_cells() / block;
-  T* const data = array.data();
+  const int64_t num_blocks = shape.num_cells() / block;
 
   auto scan_blocks = [=](int64_t block_lo, int64_t block_hi) {
     for (int64_t b = block_lo; b < block_hi; ++b) {
@@ -69,6 +68,13 @@ void SegmentedPrefixSumAlongDim(NdArray<T>& array, int dim, int64_t restart,
   } else {
     scan_blocks(0, num_blocks);
   }
+}
+
+/// The same pass over the cells of `array`.
+template <typename T>
+void SegmentedPrefixSumAlongDim(NdArray<T>& array, int dim, int64_t restart,
+                                ThreadPool* pool = nullptr) {
+  SegmentedPrefixSumAlongDim(array.data(), array.shape(), dim, restart, pool);
 }
 
 /// One prefix pass: for every row along dimension `dim`,

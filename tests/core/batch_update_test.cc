@@ -1,7 +1,10 @@
-// Batch updates: equivalence with sequential Add and the coalescing
-// saving on the strictly-dominating anchors.
+// Batch updates: equivalence with sequential Add and the cells a batch
+// writes, each reached cell once.
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,8 +74,24 @@ TEST(BatchUpdateTest, CoalescingWritesFewerCells) {
   const UpdateStats batched_stats = batched.AddBatch(batch);
 
   EXPECT_LT(batched_stats.total(), sequential_stats.total());
-  // The saving is (m - 1) * strict dominator count = 19 * 7*7.
-  EXPECT_EQ(sequential_stats.total() - batched_stats.total(), 19 * 49);
+  // The batch writes each cell its records reach once. All 20 records
+  // lie in box (0, 0) at offsets >= 1, so it writes the union of their
+  // RP tails (rows and columns from the record's to 7), the X and Y
+  // border runs from the smallest offsets on in the 7 boxes right of
+  // and below the box, and the anchors of the 7 * 7 strict dominators.
+  std::set<std::pair<int64_t, int64_t>> tails;
+  int64_t min_row = 7;
+  int64_t min_col = 7;
+  for (const CellDelta& op : batch) {
+    for (int64_t x = op.cell[0]; x < 8; ++x) {
+      for (int64_t y = op.cell[1]; y < 8; ++y) tails.insert({x, y});
+    }
+    min_row = std::min(min_row, op.cell[0]);
+    min_col = std::min(min_col, op.cell[1]);
+  }
+  EXPECT_EQ(batched_stats.primary_cells, static_cast<int64_t>(tails.size()));
+  EXPECT_EQ(batched_stats.aux_cells,
+            7 * (8 - min_row) + 7 * (8 - min_col) + 7 * 7);
   // And the structures agree.
   EXPECT_EQ(sequential.MaterializeRp(), batched.MaterializeRp());
 }
@@ -92,7 +111,7 @@ TEST(BatchUpdateTest, SingleElementBatchMatchesAddCost) {
   RelativePrefixSum<int64_t> b(cube, CellIndex{4, 4});
   const CellIndex cell{5, 9};
   const UpdateStats add_stats = a.Add(cell, 7);
-  const UpdateStats batch_stats = b.AddBatch({{cell, 7}});
+  const UpdateStats batch_stats = b.AddBatch(std::vector<CellDelta>{{cell, 7}});
   EXPECT_EQ(add_stats.primary_cells, batch_stats.primary_cells);
   EXPECT_EQ(add_stats.aux_cells, batch_stats.aux_cells);
   EXPECT_EQ(a.MaterializeRp(), b.MaterializeRp());

@@ -114,8 +114,7 @@ void ExpectScatterMatchesReference(const Shape& shape,
     ASSERT_EQ(static_cast<int64_t>(actual.rp_cells.size()),
               predicted.primary_cells);
     ASSERT_EQ(static_cast<int64_t>(actual.slots.size()), predicted.aux_cells);
-    // Only strictly dominating boxes go to `anchors`: AddBatch's
-    // coalescing relies on it.
+    // Only strictly dominating boxes go to `anchors`.
     const CellIndex own = geo.BoxIndexOf(cell);
     for (const int64_t linear : actual.strict_boxes) {
       const CellIndex box = grid.Delinearize(linear);

@@ -3,7 +3,8 @@
 // update streams,
 //   * AddBatch must leave the structure identical to the equivalent
 //     scalar Adds (exact for integral cells, tolerance for floating
-//     cells, where coalescing legitimately reassociates additions);
+//     cells, where summing a cell's deltas first legitimately
+//     reassociates additions);
 //   * builds through a thread pool (parallel policy forced down so
 //     every pool path triggers), and updates on the structure they
 //     build, must match a strictly serial twin bit-for-bit on
@@ -131,8 +132,8 @@ TEST_P(ParallelEquivalenceTest, AddBatchMatchesScalarAddsWithinFloatTolerance) {
     batched.AddBatch(deltas);
     for (const auto& op : deltas) scalar.Add(op.cell, op.delta);
 
-    // Coalesced strict-anchor writes reassociate the group's
-    // additions; values stay within accumulated rounding slack.
+    // A batch sums each cell's deltas before adding them, which
+    // reassociates additions; values stay within rounding slack.
     ExpectSameStructure(batched, scalar, /*tolerance=*/1e-6);
   }
 }
