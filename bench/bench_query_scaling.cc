@@ -186,6 +186,49 @@ BENCHMARK(BM_QueryLoopTiled64<HierarchicalRps<int64_t>>)
     ->Range(64, 1024)
     ->Unit(benchmark::kMicrosecond);
 
+// Readers that scale (ROADMAP item 1): one 256x256
+// RelativePrefixSum<double> read by 1, 2 and 4 threads. Arg 1: the
+// threads share one structure. Arg 0, the control: each thread reads a
+// copy of its own, built from the same cells. A query writes only
+// counters, which live in per-thread cells, so shared should read as
+// fast as private; compare the CPU column (ns per query per thread).
+void BM_RangeQueryShared(benchmark::State& state) {
+  static const NdArray<double> cube = [] {
+    const NdArray<int64_t> cells =
+        UniformCube(Shape::Hypercube(2, 256), 0, 99, 13);
+    NdArray<double> out(cells.shape(), 0.0);
+    for (int64_t i = 0; i < cells.num_cells(); ++i) {
+      out.data()[i] = static_cast<double>(cells.data()[i]);
+    }
+    return out;
+  }();
+  static const RelativePrefixSum<double> shared(cube, nullptr);
+  const bool share = state.range(0) == 1;
+  std::unique_ptr<const RelativePrefixSum<double>> own;
+  if (!share) {
+    own = std::make_unique<const RelativePrefixSum<double>>(cube, nullptr);
+  }
+  const RelativePrefixSum<double>& rps = share ? shared : *own;
+  const std::vector<Box> queries = QueryPool(
+      rps.shape(), 17 + static_cast<uint64_t>(state.thread_index()));
+  size_t next = 0;
+  double checksum = 0;
+  for (auto _ : state) {
+    checksum += rps.RangeSum(queries[next]);
+    next = (next + 1) & (kQueryPool - 1);
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetLabel(share ? "shared" : "private");
+}
+BENCHMARK(BM_RangeQueryShared)
+    ->ArgName("shared")
+    ->Arg(1)
+    ->Arg(0)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Unit(benchmark::kNanosecond);
+
 // Prefix lookups in isolation (the 2^d+1-cell assembly of Figure 12).
 void BM_RpsPrefixLookup(benchmark::State& state) {
   const int64_t n = state.range(0);

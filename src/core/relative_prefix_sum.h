@@ -276,10 +276,11 @@ class RelativePrefixSum final : public QueryMethod<T> {
   /// Cell-lookup accounting in the paper's cost unit (Section 4.1:
   /// a prefix lookup needs one anchor value, the border values of the
   /// target's projections, and one RP cell). Counters accumulate
-  /// across queries, per instance, backed by obs::RelaxedCounter so
-  /// concurrent readers (the serving engine's pinned views) stay
-  /// race-free; lookup_stats() returns a snapshot, exact only when no
-  /// query runs concurrently. Process-wide operation totals go to the
+  /// across queries, per instance, in per-thread cells
+  /// (obs::PerThreadCells), so concurrent readers (the serving
+  /// engine's pinned views) write no shared cache line;
+  /// lookup_stats() sums the cells, exact when no query runs
+  /// concurrently. Process-wide operation totals go to the
   /// MetricRegistry (rps_core_rps_*) instead.
   struct LookupStats {
     int64_t overlay_reads = 0;
@@ -287,12 +288,11 @@ class RelativePrefixSum final : public QueryMethod<T> {
     int64_t total() const { return overlay_reads + rp_reads; }
   };
   LookupStats lookup_stats() const {
-    return {lookups_.overlay_reads.Load(), lookups_.rp_reads.Load()};
+    int64_t reads[2];
+    lookups_.SumAll(reads);
+    return {reads[kOverlayReads], reads[kRpReads]};
   }
-  void ResetLookupStats() const {
-    lookups_.overlay_reads.Reset();
-    lookups_.rp_reads.Reset();
-  }
+  void ResetLookupStats() const { lookups_.Reset(); }
 
  private:
   struct PartsTag {};
@@ -312,8 +312,8 @@ class RelativePrefixSum final : public QueryMethod<T> {
 
   // Publishes the reads of one or more lookups, counted locally.
   void Publish(const LookupStats& reads) const {
-    lookups_.overlay_reads.Increment(reads.overlay_reads);
-    lookups_.rp_reads.Increment(reads.rp_reads);
+    lookups_.Add(kOverlayReads, reads.overlay_reads);
+    lookups_.Add(kRpReads, reads.rp_reads);
   }
 
   // The Figure 12 assembly of P[target], every query path's one
@@ -345,19 +345,17 @@ class RelativePrefixSum final : public QueryMethod<T> {
   template <int kDims>
   UpdateStats ScatterAdd(const int64_t* cell, T delta);
 
-  // Per-instance lookup counters; obs::RelaxedCounter carries its
-  // value across structure copies.
-  struct AtomicLookupStats {
-    obs::RelaxedCounter overlay_reads;
-    obs::RelaxedCounter rp_reads;
-  };
+  // The two counts of the per-instance lookup cells, which carry
+  // their totals across structure copies.
+  static constexpr int kOverlayReads = 0;
+  static constexpr int kRpReads = 1;
 
   // Immutable, so copies share it.
   std::shared_ptr<const OverlayGeometry> geometry_;
   BoxRowStore<T> store_;
   ThreadPool* pool_ = nullptr;
   ParallelPolicy policy_;
-  mutable AtomicLookupStats lookups_;
+  mutable obs::PerThreadCells<2> lookups_;
 };
 
 // ---------------------------------------------------------------------------

@@ -4,20 +4,6 @@
 
 namespace rps {
 
-Box::Box(CellIndex lo, CellIndex hi) : lo_(lo), hi_(hi) {
-  RPS_CHECK(lo.dims() == hi.dims());
-  for (int j = 0; j < lo.dims(); ++j) {
-    RPS_CHECK_MSG(lo[j] <= hi[j], "Box bounds must satisfy lo <= hi");
-  }
-}
-
-Box Box::All(const Shape& shape) {
-  CellIndex lo = CellIndex::Filled(shape.dims(), 0);
-  CellIndex hi = CellIndex::Filled(shape.dims(), 0);
-  for (int j = 0; j < shape.dims(); ++j) hi[j] = shape.extent(j) - 1;
-  return Box(lo, hi);
-}
-
 Box Box::Cell(const CellIndex& cell) { return Box(cell, cell); }
 
 int64_t Box::NumCells() const {

@@ -21,10 +21,21 @@ namespace rps {
 class Box {
  public:
   Box() = default;
-  Box(CellIndex lo, CellIndex hi);
+  Box(const CellIndex& lo, const CellIndex& hi) : lo_(lo), hi_(hi) {
+    RPS_CHECK(lo.dims() == hi.dims());
+    for (int j = 0; j < lo.dims(); ++j) {
+      RPS_CHECK_MSG(lo[j] <= hi[j], "Box bounds must satisfy lo <= hi");
+    }
+  }
+
+  /// The box covering all of `shape` (also Box::All).
+  explicit Box(const Shape& shape)
+      : lo_(CellIndex::Filled(shape.dims(), 0)), hi_(lo_) {
+    for (int j = 0; j < shape.dims(); ++j) hi_[j] = shape.extent(j) - 1;
+  }
 
   /// The box covering all of `shape`.
-  static Box All(const Shape& shape);
+  static Box All(const Shape& shape) { return Box(shape); }
 
   /// The single-cell box {cell}.
   static Box Cell(const CellIndex& cell);
@@ -35,6 +46,14 @@ class Box {
 
   /// Extent of the box along dimension j (>= 1).
   int64_t Extent(int j) const { return hi_[j] - lo_[j] + 1; }
+
+  /// Sets the bounds along dimension j to [lo, hi], in place. The
+  /// caller has checked lo <= hi.
+  void SetRange(int j, int64_t lo, int64_t hi) {
+    RPS_DCHECK(lo <= hi);
+    lo_[j] = lo;
+    hi_[j] = hi;
+  }
 
   /// Number of cells in the box (product of extents).
   int64_t NumCells() const;

@@ -38,43 +38,51 @@ Dimension Dimension::Categorical(std::string name,
   return dim;
 }
 
+int64_t Dimension::TryIndexOfDouble(double value) const {
+  if (kind_ != Kind::kBinned) return kNoIndex;
+  const double offset = (value - lo_) / width_;
+  // Written so that NaN, for which every comparison is false, fails.
+  if (!(offset >= 0 && offset < static_cast<double>(size_))) return kNoIndex;
+  return static_cast<int64_t>(std::floor(offset));
+}
+
+int64_t Dimension::TryIndexOfLabel(const std::string& label) const {
+  if (kind_ != Kind::kCategorical) return kNoIndex;
+  const auto it = label_index_.find(label);
+  return it == label_index_.end() ? kNoIndex : it->second;
+}
+
 Result<int64_t> Dimension::IndexOfInt(int64_t value) const {
+  const int64_t index = TryIndexOfInt(value);
+  if (index != kNoIndex) return index;
   if (kind_ != Kind::kInteger) {
     return Status::FailedPrecondition("dimension '" + name_ +
                                       "' is not an integer dimension");
   }
-  const int64_t index = value - origin_;
-  if (index < 0 || index >= size_) {
-    return Status::OutOfRange("value " + std::to_string(value) +
-                              " outside dimension '" + name_ + "'");
-  }
-  return index;
+  return Status::OutOfRange("value " + std::to_string(value) +
+                            " outside dimension '" + name_ + "'");
 }
 
 Result<int64_t> Dimension::IndexOfDouble(double value) const {
+  const int64_t index = TryIndexOfDouble(value);
+  if (index != kNoIndex) return index;
   if (kind_ != Kind::kBinned) {
     return Status::FailedPrecondition("dimension '" + name_ +
                                       "' is not a binned dimension");
   }
-  const double offset = (value - lo_) / width_;
-  if (offset < 0 || offset >= static_cast<double>(size_)) {
-    return Status::OutOfRange("value " + std::to_string(value) +
-                              " outside dimension '" + name_ + "'");
-  }
-  return static_cast<int64_t>(std::floor(offset));
+  return Status::OutOfRange("value " + std::to_string(value) +
+                            " outside dimension '" + name_ + "'");
 }
 
 Result<int64_t> Dimension::IndexOfLabel(const std::string& label) const {
+  const int64_t index = TryIndexOfLabel(label);
+  if (index != kNoIndex) return index;
   if (kind_ != Kind::kCategorical) {
     return Status::FailedPrecondition("dimension '" + name_ +
                                       "' is not a categorical dimension");
   }
-  auto it = label_index_.find(label);
-  if (it == label_index_.end()) {
-    return Status::NotFound("label '" + label + "' not in dimension '" +
-                            name_ + "'");
-  }
-  return it->second;
+  return Status::NotFound("label '" + label + "' not in dimension '" +
+                          name_ + "'");
 }
 
 std::string Dimension::SlotLabel(int64_t index) const {

@@ -39,14 +39,36 @@ class Dimension {
   const std::string& name() const { return name_; }
   int64_t size() const { return size_; }
 
-  /// Maps a raw integer value to its index (Integer dimensions).
+  /// What the TryIndexOf* lookups return for a value with no index.
+  static constexpr int64_t kNoIndex = -1;
+
+  /// Maps a raw integer value to its index (Integer dimensions). Any
+  /// int64 is accepted: the range check cannot overflow.
   Result<int64_t> IndexOfInt(int64_t value) const;
 
-  /// Maps a raw numeric value to its bin (Binned dimensions).
+  /// Maps a raw numeric value to its bin (Binned dimensions). NaN and
+  /// the infinities lie outside every domain.
   Result<int64_t> IndexOfDouble(double value) const;
 
   /// Maps a label to its index (Categorical dimensions).
   Result<int64_t> IndexOfLabel(const std::string& label) const;
+
+  /// The same mappings without a Status: the index, or kNoIndex when
+  /// the IndexOf* call of the same value fails (wrong kind of
+  /// dimension, or a value outside it). Resolving a query calls these
+  /// and builds a Status only for a lookup that failed.
+  int64_t TryIndexOfInt(int64_t value) const {
+    if (kind_ != Kind::kInteger || value < origin_) return kNoIndex;
+    // value >= origin_, so the unsigned difference is the exact
+    // offset; the signed one overflows for values far from the origin.
+    const uint64_t offset =
+        static_cast<uint64_t>(value) - static_cast<uint64_t>(origin_);
+    return offset < static_cast<uint64_t>(size_)
+               ? static_cast<int64_t>(offset)
+               : kNoIndex;
+  }
+  int64_t TryIndexOfDouble(double value) const;
+  int64_t TryIndexOfLabel(const std::string& label) const;
 
   /// Human-readable description of the index'th slot, e.g. "37",
   /// "[10.0, 20.0)", or "West".

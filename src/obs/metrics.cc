@@ -82,10 +82,9 @@ std::string JsonLabels(const Labels& labels) {
   return out;
 }
 
-/// Every bucket of a histogram read once, plus their sum. Observers
-/// bump a bucket and the count with separate relaxed adds, so a scrape
-/// racing them renders this instead of Count() to stay
-/// self-consistent: the buckets always add up to the reported total.
+/// Every bucket of a histogram read once, plus their sum. A scrape
+/// racing observers renders this instead of calling Count() again, so
+/// the buckets it prints always add up to the total it prints.
 struct BucketSnapshot {
   explicit BucketSnapshot(const Histogram& hist) {
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
@@ -99,6 +98,44 @@ struct BucketSnapshot {
 
 }  // namespace
 
+namespace cells_internal {
+namespace {
+
+/// Which cells are owned by a live thread. Claims are rare (once per
+/// thread), so a linear CAS scan suffices. The release in ~CellOwner
+/// pairs with the next claimer's acquire, so the next owner's loads
+/// see every store the previous owner made to the cell.
+constinit std::atomic<bool> g_claimed[kCells] = {};
+
+/// Releases the thread's cell at thread exit. Later writes of the
+/// exiting thread (other thread-local destructors) go to the overflow
+/// cell, so they are still counted.
+struct CellOwner {
+  int cell = kCells;
+  ~CellOwner() {
+    t_cell = kCells;
+    if (cell < kCells) g_claimed[cell].store(false, std::memory_order_release);
+  }
+};
+
+}  // namespace
+
+int ClaimCell() {
+  thread_local CellOwner owner;
+  for (int i = 0; i < kCells; ++i) {
+    bool expected = false;
+    if (g_claimed[i].compare_exchange_strong(expected, true,
+                                             std::memory_order_acq_rel)) {
+      owner.cell = i;
+      break;
+    }
+  }
+  t_cell = owner.cell;
+  return owner.cell;
+}
+
+}  // namespace cells_internal
+
 int Histogram::BucketIndex(int64_t nanos) {
   if (nanos <= 1) return 0;
   if (nanos > BucketBoundNanos(kNumFiniteBuckets - 1)) {
@@ -110,21 +147,32 @@ int Histogram::BucketIndex(int64_t nanos) {
 
 void Histogram::ObserveNanos(int64_t nanos) {
   if (nanos < 0) nanos = 0;
-  buckets_[static_cast<size_t>(BucketIndex(nanos))].Increment();
-  count_.Increment();
-  sum_nanos_.Increment(nanos);
+  cells_.Add(BucketIndex(nanos), 1);
+  cells_.Add(kSumNanos, nanos);
 }
 
 void Histogram::ObserveNanosBatch(int64_t nanos, int64_t count) {
   if (count <= 0) return;
   if (nanos < 0) nanos = 0;
-  buckets_[static_cast<size_t>(BucketIndex(nanos))].Increment(count);
-  count_.Increment(count);
-  sum_nanos_.Increment(nanos * count);
+  cells_.Add(BucketIndex(nanos), count);
+  cells_.Add(kSumNanos, nanos * count);
+}
+
+int64_t Histogram::Count() const {
+  int64_t counts[kNumBuckets + 1];
+  cells_.SumAll(counts);
+  int64_t total = 0;
+  for (int i = 0; i < kNumBuckets; ++i) total += counts[i];
+  return total;
 }
 
 double Histogram::Percentile(double q) const {
-  const int64_t count = count_.Load();
+  // One fold of every cell, so the rank, the buckets and the sum come
+  // from the same reading.
+  int64_t counts[kNumBuckets + 1];
+  cells_.SumAll(counts);
+  int64_t count = 0;
+  for (int i = 0; i < kNumBuckets; ++i) count += counts[i];
   if (count <= 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
@@ -135,7 +183,7 @@ double Histogram::Percentile(double q) const {
 
   int64_t cumulative = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    const int64_t in_bucket = buckets_[static_cast<size_t>(i)].Load();
+    const int64_t in_bucket = counts[i];
     if (cumulative + in_bucket < rank) {
       cumulative += in_bucket;
       continue;
@@ -146,7 +194,7 @@ double Histogram::Percentile(double q) const {
     // Plain interpolation would report up to the bucket's upper bound
     // -- a 2x over-report for a constant sample at a bucket boundary.
     const bool all_here = in_bucket == count;
-    const double mean = all_here ? static_cast<double>(sum_nanos_.Load()) /
+    const double mean = all_here ? static_cast<double>(counts[kSumNanos]) /
                                        static_cast<double>(count)
                                  : 0.0;
     if (i == kNumFiniteBuckets) {
@@ -167,12 +215,6 @@ double Histogram::Percentile(double q) const {
     return (lo + fraction * (hi - lo)) * 1e-9;
   }
   return 0.0;  // unreachable: count > 0 places rank in some bucket
-}
-
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.Reset();
-  count_.Reset();
-  sum_nanos_.Reset();
 }
 
 MetricRegistry& MetricRegistry::Global() {

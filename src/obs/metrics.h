@@ -1,13 +1,17 @@
-// Process-wide metrics: lock-free counters, gauges and log-bucketed
+// Process-wide metrics: per-thread counters, gauges and log-bucketed
 // latency histograms behind a MetricRegistry with Prometheus-style
 // text and JSON exposition.
 //
 // The paper's claims are cost trade-offs (O(1) queries vs O(n^(d/2))
 // updates), so the repo needs one uniform way to observe them. Every
 // subsystem registers metrics by name (convention:
-// `rps_<subsystem>_<name>`) and increments them with relaxed atomics;
-// reads are snapshots, exact only when nothing runs concurrently --
-// the usual trade of exactness for a zero-coordination hot path.
+// `rps_<subsystem>_<name>`). Counters and histograms keep one
+// cache-line cell per writing thread (PerThreadCells): a thread adds
+// to its own cell with a relaxed load and store, so concurrent
+// writers share no cache line and issue no locked instruction. Reads
+// sum the cells; a read is exact when no thread is writing, and a
+// snapshot otherwise -- the usual trade of exactness for a
+// zero-coordination hot path.
 //
 // Usage:
 //   static obs::Counter& hits =
@@ -16,8 +20,8 @@
 //
 // Registration takes a mutex once; the returned reference is stable
 // for the registry's lifetime, so instrumented code caches it in a
-// function-local static (or a member) and pays one relaxed atomic add
-// per event thereafter.
+// function-local static (or a member) and pays one store to its own
+// cell per event thereafter.
 
 #ifndef RPS_OBS_METRICS_H_
 #define RPS_OBS_METRICS_H_
@@ -35,39 +39,127 @@
 
 namespace rps::obs {
 
-/// Relaxed atomic counter whose value carries across copies
-/// (std::atomic alone would delete the copy constructor). The shared
-/// primitive under Counter and Histogram, also embedded directly by
-/// structures that keep per-instance accounting (for example the
-/// RelativePrefixSum lookup-cost counters).
-class RelaxedCounter {
+namespace cells_internal {
+
+/// Cells per PerThreadCells object, not counting the shared overflow
+/// cell. A thread claims one on its first write and keeps it until it
+/// exits; threads beyond this many live writers share the overflow.
+inline constexpr int kCells = 32;
+
+/// The calling thread's cell index: -1 before its first write, then
+/// its claimed cell, or kCells (the overflow cell) when every cell was
+/// taken or the thread is exiting.
+inline constinit thread_local int t_cell = -1;
+
+/// Claims a free cell for the calling thread (kCells when none is
+/// free), records it in t_cell, and arranges its release at thread
+/// exit. The first write of each thread takes this path.
+int ClaimCell();
+
+}  // namespace cells_internal
+
+/// kCounts int64 counts kept per thread. Each writing thread owns one
+/// cache-line-aligned cell and adds to it with a relaxed load and
+/// store, so writers never contend and run no locked instruction; a
+/// thread that found every cell taken adds to the shared overflow
+/// cell with fetch_add. Cells are claimed on a thread's first write,
+/// the same way EpochDomain slots are, and released at thread exit; a
+/// released cell keeps its counts, which its next owner adds to.
+/// Sum() folds every cell, so it is exact whenever no thread is
+/// writing. Copies carry the totals (folded into the copy's overflow
+/// cell), which is what per-instance accounting inside copyable
+/// structures needs.
+template <int kCounts>
+class PerThreadCells {
  public:
-  RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& other) : value_(other.Load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& other) {
-    value_.store(other.Load(), std::memory_order_relaxed);
+  PerThreadCells() = default;
+  PerThreadCells(const PerThreadCells& other) { CarryFrom(other); }
+  PerThreadCells& operator=(const PerThreadCells& other) {
+    if (this != &other) {
+      Reset();
+      CarryFrom(other);
+    }
     return *this;
   }
-  void Increment(int64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+
+  /// Adds `n` to count `k` in the calling thread's cell. Always
+  /// inlined: it is a few instructions on every instrumented path.
+  [[gnu::always_inline]] void Add(int k, int64_t n) {
+    int cell = cells_internal::t_cell;
+    if (cell < 0) cell = cells_internal::ClaimCell();
+    std::atomic<uint64_t>& count = cells_[cell].counts[k];
+    if (cell == kOverflow) {
+      count.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    } else {
+      count.store(count.load(std::memory_order_relaxed) +
+                      static_cast<uint64_t>(n),
+                  std::memory_order_relaxed);
+    }
   }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-  int64_t Load() const { return value_.load(std::memory_order_relaxed); }
+
+  /// Count `k` summed over every cell.
+  int64_t Sum(int k) const {
+    uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.counts[k].load(std::memory_order_relaxed);
+    }
+    return static_cast<int64_t>(total);
+  }
+
+  /// Every count summed over every cell, in one pass.
+  void SumAll(int64_t (&totals)[kCounts]) const {
+    uint64_t sums[kCounts] = {};
+    for (const Cell& cell : cells_) {
+      for (int k = 0; k < kCounts; ++k) {
+        sums[k] += cell.counts[k].load(std::memory_order_relaxed);
+      }
+    }
+    for (int k = 0; k < kCounts; ++k) {
+      totals[k] = static_cast<int64_t>(sums[k]);
+    }
+  }
+
+  /// Zeroes every cell. Exact only when no thread is writing: a
+  /// concurrent owner's store may land a pre-reset value.
+  void Reset() {
+    for (Cell& cell : cells_) {
+      for (std::atomic<uint64_t>& count : cell.counts) {
+        count.store(0, std::memory_order_relaxed);
+      }
+    }
+  }
 
  private:
-  std::atomic<int64_t> value_{0};
+  static constexpr int kOverflow = cells_internal::kCells;
+
+  // Counts wrap modulo 2^64, as an atomic fetch_add does; unsigned
+  // arithmetic keeps the wrap defined when cells are added up.
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> counts[kCounts] = {};
+  };
+
+  void CarryFrom(const PerThreadCells& other) {
+    int64_t totals[kCounts];
+    other.SumAll(totals);
+    for (int k = 0; k < kCounts; ++k) {
+      cells_[kOverflow].counts[k].store(static_cast<uint64_t>(totals[k]),
+                                        std::memory_order_relaxed);
+    }
+  }
+
+  Cell cells_[cells_internal::kCells + 1];
 };
 
 /// Monotonic counter. Registry-owned; obtain via
 /// MetricRegistry::GetCounter.
 class Counter {
  public:
-  void Increment(int64_t n = 1) { value_.Increment(n); }
-  int64_t Value() const { return value_.Load(); }
+  void Increment(int64_t n = 1) { value_.Add(0, n); }
+  int64_t Value() const { return value_.Sum(0); }
   void Reset() { value_.Reset(); }
 
  private:
-  RelaxedCounter value_;
+  PerThreadCells<1> value_;
 };
 
 /// Last-write-wins double gauge (Add via CAS for concurrent
@@ -92,9 +184,10 @@ class Gauge {
 /// holds observations in (2^(i-1), 2^i] ns for i in
 /// [0, kNumFiniteBuckets), plus one overflow bucket. 2^34 ns is
 /// ~17 s, beyond any per-operation latency this repo measures.
-/// Observations and the running sum are relaxed atomic adds, so
-/// concurrent Observe calls never coordinate; snapshots are
-/// consistent only in quiescence.
+/// An observation adds to its bucket and to the running sum in the
+/// calling thread's cell (PerThreadCells), so concurrent Observe calls
+/// never coordinate. The count is the sum of the buckets, so a read
+/// always agrees with its own buckets; reads are exact in quiescence.
 class Histogram {
  public:
   static constexpr int kNumFiniteBuckets = 35;
@@ -111,18 +204,16 @@ class Histogram {
   void Observe(double seconds) {
     ObserveNanos(static_cast<int64_t>(seconds * 1e9));
   }
-  /// Records `count` observations of `nanos` each with three relaxed
-  /// adds total -- for batch-processing callers that amortized one
-  /// measurement over many operations.
+  /// Records `count` observations of `nanos` each with two adds total
+  /// -- for batch-processing callers that amortized one measurement
+  /// over many operations.
   void ObserveNanosBatch(int64_t nanos, int64_t count);
 
-  int64_t Count() const { return count_.Load(); }
+  int64_t Count() const;
   double SumSeconds() const {
-    return static_cast<double>(sum_nanos_.Load()) * 1e-9;
+    return static_cast<double>(cells_.Sum(kSumNanos)) * 1e-9;
   }
-  int64_t BucketCount(int i) const {
-    return buckets_[static_cast<size_t>(i)].Load();
-  }
+  int64_t BucketCount(int i) const { return cells_.Sum(i); }
 
   /// Quantile estimate for `q` in [0, 1], in seconds: finds the
   /// bucket holding the rank-ceil(q*count) observation and
@@ -130,12 +221,14 @@ class Histogram {
   /// the overflow bucket report its lower bound.
   double Percentile(double q) const;
 
-  void Reset();
+  void Reset() { cells_.Reset(); }
 
  private:
-  RelaxedCounter buckets_[kNumBuckets];
-  RelaxedCounter count_;
-  RelaxedCounter sum_nanos_;  // saturating enough: ~292 years
+  // Counts [0, kNumBuckets) are the buckets; the last is the sum of
+  // the observed nanoseconds (saturating enough: ~292 years).
+  static constexpr int kSumNanos = kNumBuckets;
+
+  PerThreadCells<kNumBuckets + 1> cells_;
 };
 
 /// Metric labels in Prometheus's key/value form. Order is preserved

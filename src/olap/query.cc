@@ -44,67 +44,69 @@ RangeQuery& RangeQuery::WhereLabelBetween(const std::string& dimension,
   return *this;
 }
 
-Result<Box> RangeQuery::Resolve(const Schema& schema) const {
-  const int d = schema.num_dimensions();
-  CellIndex lo = CellIndex::Filled(d, 0);
-  CellIndex hi = CellIndex::Filled(d, 0);
-  for (int j = 0; j < d; ++j) {
-    hi[j] = schema.dimensions()[static_cast<size_t>(j)].size() - 1;
-  }
+namespace {
 
+Status EmptyRange(const std::string& dimension) {
+  return Status::InvalidArgument("empty range on '" + dimension + "'");
+}
+
+}  // namespace
+
+Result<Box> RangeQuery::Resolve(const Schema& schema) const {
+  Result<Box> range(std::in_place, schema.CubeShape());
+  Status status = Narrow(schema, range.value());
+  if (!status.ok()) range = std::move(status);
+  return range;
+}
+
+Status RangeQuery::Narrow(const Schema& schema, Box& range) const {
   for (const Predicate& p : predicates_) {
-    RPS_ASSIGN_OR_RETURN(const int j, schema.DimensionIndex(p.dimension));
+    const int j = schema.TryDimensionIndex(p.dimension);
+    if (j < 0) return schema.DimensionIndex(p.dimension).status();
     const Dimension& dim = schema.dimensions()[static_cast<size_t>(j)];
+    // Each bound's index; a failed lookup is asked again through its
+    // IndexOf* call for the Status that names the failure.
     int64_t index_lo = 0;
     int64_t index_hi = 0;
     switch (p.kind) {
       case Predicate::Kind::kIntRange: {
-        if (p.int_lo > p.int_hi) {
-          return Status::InvalidArgument("empty range on '" + p.dimension +
-                                         "'");
+        if (p.int_lo > p.int_hi) return EmptyRange(p.dimension);
+        index_lo = dim.TryIndexOfInt(p.int_lo);
+        if (index_lo == Dimension::kNoIndex) {
+          return dim.IndexOfInt(p.int_lo).status();
         }
-        RPS_ASSIGN_OR_RETURN(index_lo, dim.IndexOfInt(p.int_lo));
-        RPS_ASSIGN_OR_RETURN(index_hi, dim.IndexOfInt(p.int_hi));
+        index_hi = dim.TryIndexOfInt(p.int_hi);
+        if (index_hi == Dimension::kNoIndex) {
+          return dim.IndexOfInt(p.int_hi).status();
+        }
         break;
       }
       case Predicate::Kind::kDoubleRange: {
-        if (!(p.double_lo < p.double_hi)) {
-          return Status::InvalidArgument("empty range on '" + p.dimension +
-                                         "'");
+        if (!(p.double_lo < p.double_hi)) return EmptyRange(p.dimension);
+        index_lo = dim.TryIndexOfDouble(p.double_lo);
+        if (index_lo == Dimension::kNoIndex) {
+          return dim.IndexOfDouble(p.double_lo).status();
         }
-        RPS_ASSIGN_OR_RETURN(index_lo, dim.IndexOfDouble(p.double_lo));
-        // hi is exclusive: the last included bin is the one containing
-        // the largest value strictly below hi. Nudging by resolving
-        // hi and stepping back when hi falls on a bin boundary is
-        // fragile with floats; instead resolve the midpoint of the
-        // half-open interval's final bin by probing hi - epsilon via
-        // the bin of lo plus arithmetic on the dimension is not
-        // exposed, so resolve hi and subtract one bin when hi lands
-        // exactly on a boundary value that maps out of range.
-        Result<int64_t> hi_bin = dim.IndexOfDouble(p.double_hi);
-        if (hi_bin.ok()) {
-          index_hi = hi_bin.value();
-          // hi exclusive: if hi is exactly the lower edge of its bin,
-          // the bin itself is excluded. Detect via lo-edge
-          // reconstruction: SlotLabel is informational only, so use a
-          // tolerance-free check through the previous bin's upper
-          // edge: bins are uniform, so compare against the bin of the
-          // immediately smaller representable value.
-          const double prev = std::nextafter(p.double_hi, p.double_lo);
-          RPS_ASSIGN_OR_RETURN(const int64_t prev_bin,
-                               dim.IndexOfDouble(prev));
-          index_hi = prev_bin;
-        } else {
-          // hi at or beyond the domain top: clamp to the last bin.
-          const double prev = std::nextafter(p.double_hi, p.double_lo);
-          RPS_ASSIGN_OR_RETURN(index_hi, dim.IndexOfDouble(prev));
+        // hi is exclusive: the last bin included is the one holding
+        // the largest double below hi (a hi at or past the top of the
+        // domain selects the last bin).
+        const double below_hi = std::nextafter(p.double_hi, p.double_lo);
+        index_hi = dim.TryIndexOfDouble(below_hi);
+        if (index_hi == Dimension::kNoIndex) {
+          return dim.IndexOfDouble(below_hi).status();
         }
         break;
       }
       case Predicate::Kind::kLabel:
       case Predicate::Kind::kLabelRange: {
-        RPS_ASSIGN_OR_RETURN(index_lo, dim.IndexOfLabel(p.label_lo));
-        RPS_ASSIGN_OR_RETURN(index_hi, dim.IndexOfLabel(p.label_hi));
+        index_lo = dim.TryIndexOfLabel(p.label_lo);
+        if (index_lo == Dimension::kNoIndex) {
+          return dim.IndexOfLabel(p.label_lo).status();
+        }
+        index_hi = dim.TryIndexOfLabel(p.label_hi);
+        if (index_hi == Dimension::kNoIndex) {
+          return dim.IndexOfLabel(p.label_hi).status();
+        }
         break;
       }
     }
@@ -113,14 +115,15 @@ Result<Box> RangeQuery::Resolve(const Schema& schema) const {
                                      p.dimension + "'");
     }
     // Multiple predicates on one dimension intersect.
-    lo[j] = std::max(lo[j], index_lo);
-    hi[j] = std::min(hi[j], index_hi);
-    if (lo[j] > hi[j]) {
+    const int64_t lo = std::max(range.lo()[j], index_lo);
+    const int64_t hi = std::min(range.hi()[j], index_hi);
+    if (lo > hi) {
       return Status::InvalidArgument("predicates on '" + p.dimension +
                                      "' have empty intersection");
     }
+    range.SetRange(j, lo, hi);
   }
-  return Box(lo, hi);
+  return Status::Ok();
 }
 
 }  // namespace rps

@@ -42,13 +42,17 @@ class RangeQuery {
                                 const std::string& from,
                                 const std::string& to);
 
-  /// Resolves all predicates against `schema` to a cell Box.
-  /// Unconstrained dimensions span their full extent. Fails on unknown
-  /// dimensions, kind mismatches, out-of-domain bounds or empty
-  /// ranges.
+  /// Resolves all predicates against `schema` to a cell Box inside
+  /// the cube. Unconstrained dimensions span their full extent. Fails
+  /// on unknown dimensions, kind mismatches, out-of-domain bounds or
+  /// empty ranges. The box is built once, in the result, and a Status
+  /// is built only for a predicate that fails.
   Result<Box> Resolve(const Schema& schema) const;
 
  private:
+  /// Narrows `range` (the whole cube) by every predicate.
+  Status Narrow(const Schema& schema, Box& range) const;
+
   struct Predicate {
     std::string dimension;
     enum class Kind { kIntRange, kDoubleRange, kLabel, kLabelRange } kind;

@@ -16,9 +16,8 @@ Schema::Schema(std::string measure_name, std::vector<Dimension> dimensions)
 }
 
 Result<int> Schema::DimensionIndex(const std::string& name) const {
-  for (int j = 0; j < num_dimensions(); ++j) {
-    if (dimensions_[static_cast<size_t>(j)].name() == name) return j;
-  }
+  const int j = TryDimensionIndex(name);
+  if (j >= 0) return j;
   return Status::NotFound("no dimension named '" + name + "'");
 }
 

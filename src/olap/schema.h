@@ -31,6 +31,14 @@ class Schema {
 
   /// Index of the dimension named `name`, or error.
   Result<int> DimensionIndex(const std::string& name) const;
+  /// The same lookup without a Status: -1 when no dimension has the
+  /// name.
+  int TryDimensionIndex(const std::string& name) const {
+    for (int j = 0; j < num_dimensions(); ++j) {
+      if (dimensions_[static_cast<size_t>(j)].name() == name) return j;
+    }
+    return -1;
+  }
 
   /// Shape of the cube this schema describes, built once by the
   /// constructor.

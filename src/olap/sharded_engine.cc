@@ -24,6 +24,14 @@ const QueryMethod<T>& StructureOf(const Shard& shard) {
 
 Status OutsideCube() { return Status::OutOfRange("box outside the cube"); }
 
+/// Whether every box of `ranges` lies inside `shape`.
+bool AllWithin(std::span<const Box> ranges, const Shape& shape) {
+  for (const Box& range : ranges) {
+    if (!range.Within(shape)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::unique_ptr<OlapServingEngine> MakeServingEngine(Schema schema,
@@ -138,13 +146,15 @@ uint64_t ShardedOlapEngine::generation() const {
   return version_.load(std::memory_order_acquire)->generation;
 }
 
-Box ShardedOlapEngine::LocalBox(const Box& range, int s) const {
+const Box& ShardedOlapEngine::LocalBox(const Box& range, int s,
+                                       Box& local) const {
   const int64_t base = starts_[static_cast<size_t>(s)];
-  CellIndex lo = range.lo();
-  CellIndex hi = range.hi();
-  lo[0] = std::max(lo[0], base) - base;
-  hi[0] = std::min(hi[0], starts_[static_cast<size_t>(s) + 1] - 1) - base;
-  return Box(lo, hi);
+  const int64_t last_row = starts_[static_cast<size_t>(s) + 1] - 1;
+  if (base == 0 && range.hi()[0] <= last_row) return range;
+  local = range;
+  local.SetRange(0, std::max(range.lo()[0], base) - base,
+                 std::min(range.hi()[0], last_row) - base);
+  return local;
 }
 
 ShardedOlapEngine::ReadView::ReadView(const ShardedOlapEngine& engine,
@@ -172,24 +182,21 @@ Result<Box> ShardedOlapEngine::ReadView::Resolve(
 }
 
 template <typename T>
-Result<T> ShardedOlapEngine::ReadView::Total(const Box& range) const {
-  if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
+T ShardedOlapEngine::ReadView::Total(const Box& range) const {
   const int first = engine_.ShardOf(range.lo()[0]);
   const int last = engine_.ShardOf(range.hi()[0]);
   T total = 0;
+  Box local;
   for (int s = first; s <= last; ++s) {
     total += StructureOf<T>(*version_->shards[static_cast<size_t>(s)])
-                 .RangeSum(engine_.LocalBox(range, s));
+                 .RangeSum(engine_.LocalBox(range, s, local));
   }
   return total;
 }
 
 template <typename T>
-Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
+std::vector<T> ShardedOlapEngine::ReadView::Batch(
     std::span<const Box> ranges) const {
-  for (const Box& range : ranges) {
-    if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
-  }
   std::vector<T> out(ranges.size(), T{0});
   if (engine_.shards() == 1) {
     StructureOf<T>(*version_->shards[0]).RangeSumBatch(ranges, out);
@@ -200,6 +207,7 @@ Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
   std::vector<Box> local;
   std::vector<size_t> owner;
   std::vector<T> partial;
+  Box scratch;
   for (int s = 0; s < engine_.shards(); ++s) {
     const int64_t first_row = engine_.starts_[static_cast<size_t>(s)];
     const int64_t end_row = engine_.starts_[static_cast<size_t>(s) + 1];
@@ -207,7 +215,7 @@ Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
     owner.clear();
     for (size_t i = 0; i < ranges.size(); ++i) {
       if (ranges[i].lo()[0] < end_row && ranges[i].hi()[0] >= first_row) {
-        local.push_back(engine_.LocalBox(ranges[i], s));
+        local.push_back(engine_.LocalBox(ranges[i], s, scratch));
         owner.push_back(i);
       }
     }
@@ -222,21 +230,25 @@ Result<std::vector<T>> ShardedOlapEngine::ReadView::Batch(
 
 Result<double> ShardedOlapEngine::ReadView::SumOverCells(
     const Box& range) const {
+  if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
   return Total<double>(range);
 }
 
 Result<int64_t> ShardedOlapEngine::ReadView::CountOverCells(
     const Box& range) const {
+  if (!range.Within(engine_.schema_.CubeShape())) return OutsideCube();
   return Total<int64_t>(range);
 }
 
 Result<std::vector<double>> ShardedOlapEngine::ReadView::SumBatch(
     std::span<const Box> ranges) const {
+  if (!AllWithin(ranges, engine_.schema_.CubeShape())) return OutsideCube();
   return Batch<double>(ranges);
 }
 
 Result<std::vector<int64_t>> ShardedOlapEngine::ReadView::CountBatch(
     std::span<const Box> ranges) const {
+  if (!AllWithin(ranges, engine_.schema_.CubeShape())) return OutsideCube();
   return Batch<int64_t>(ranges);
 }
 
@@ -398,8 +410,9 @@ Status ShardedOlapEngine::Apply(std::span<const OlapRecord> records,
 
 Result<double> ShardedOlapEngine::Sum(const RangeQuery& query) const {
   const ReadView view(*this, "engine.sum");
-  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
-  return view.SumOverCells(range);
+  const Result<Box> range = view.Resolve(query);
+  if (!range.ok()) return range.status();
+  return view.Total<double>(range.value());
 }
 
 Result<std::vector<double>> ShardedOlapEngine::QueryBatch(
@@ -408,27 +421,29 @@ Result<std::vector<double>> ShardedOlapEngine::QueryBatch(
   std::vector<Box> ranges;
   ranges.reserve(queries.size());
   for (const RangeQuery& query : queries) {
-    RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
-    ranges.push_back(range);
+    const Result<Box> range = view.Resolve(query);
+    if (!range.ok()) return range.status();
+    ranges.push_back(range.value());
   }
-  return view.SumBatch(ranges);
+  return view.Batch<double>(ranges);
 }
 
 Result<int64_t> ShardedOlapEngine::Count(const RangeQuery& query) const {
   const ReadView view(*this, "engine.count");
-  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
-  return view.CountOverCells(range);
+  const Result<Box> range = view.Resolve(query);
+  if (!range.ok()) return range.status();
+  return view.Total<int64_t>(range.value());
 }
 
 Result<double> ShardedOlapEngine::Average(const RangeQuery& query) const {
   const ReadView view(*this, "engine.average");
-  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
-  RPS_ASSIGN_OR_RETURN(const int64_t count, view.CountOverCells(range));
+  const Result<Box> range = view.Resolve(query);
+  if (!range.ok()) return range.status();
+  const int64_t count = view.Total<int64_t>(range.value());
   if (count == 0) {
     return Status::FailedPrecondition("AVERAGE over a range with no records");
   }
-  RPS_ASSIGN_OR_RETURN(const double sum, view.SumOverCells(range));
-  return sum / static_cast<double>(count);
+  return view.Total<double>(range.value()) / static_cast<double>(count);
 }
 
 Result<std::vector<double>> ShardedOlapEngine::RollingSum(
@@ -445,11 +460,11 @@ Result<std::vector<double>> ShardedOlapEngine::RollingAverage(
   if (window < 1) return Status::InvalidArgument("window must be >= 1");
   const ReadView view(*this, "engine.rolling_average");
   RPS_ASSIGN_OR_RETURN(const int j, schema_.DimensionIndex(dimension));
-  RPS_ASSIGN_OR_RETURN(const Box range, view.Resolve(query));
-  const std::vector<Box> windows = WindowBoxes(range, j, window);
-  RPS_ASSIGN_OR_RETURN(std::vector<double> out, view.SumBatch(windows));
-  RPS_ASSIGN_OR_RETURN(const std::vector<int64_t> counts,
-                       view.CountBatch(windows));
+  const Result<Box> range = view.Resolve(query);
+  if (!range.ok()) return range.status();
+  const std::vector<Box> windows = WindowBoxes(range.value(), j, window);
+  std::vector<double> out = view.Batch<double>(windows);
+  const std::vector<int64_t> counts = view.Batch<int64_t>(windows);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = counts[i] == 0 ? 0.0 : out[i] / static_cast<double>(counts[i]);
   }

@@ -78,8 +78,8 @@ class ShardedOlapEngine final : public OlapServingEngine {
 
     const Schema& schema() const { return engine_.schema_; }
 
-    /// Resolves `query` to a cell box and adds its volume to the
-    /// request's wide event.
+    /// Resolves `query` to a cell box inside the cube and adds its
+    /// volume to the request's wide event.
     Result<Box> Resolve(const RangeQuery& query) const;
 
     /// SUM / COUNT over an explicit cell box; OutOfRange if the box
@@ -95,10 +95,17 @@ class ShardedOlapEngine final : public OlapServingEngine {
         std::span<const Box> ranges) const;
 
    private:
+    // The engine's operators pass the boxes Resolve built straight to
+    // Total and Batch: a resolved box lies inside the cube, so it is
+    // not checked again.
+    friend class ShardedOlapEngine;
+
+    /// SUM / COUNT over `range`, which lies inside the cube.
     template <typename T>
-    Result<T> Total(const Box& range) const;
+    T Total(const Box& range) const;
+    /// The same for many boxes inside the cube, in order.
     template <typename T>
-    Result<std::vector<T>> Batch(std::span<const Box> ranges) const;
+    std::vector<T> Batch(std::span<const Box> ranges) const;
 
     const ShardedOlapEngine& engine_;
     mutable obs::RequestScope request_;
@@ -217,8 +224,10 @@ class ShardedOlapEngine final : public OlapServingEngine {
   int ShardOf(int64_t row0) const;
   /// Sub-shape of shard `s` (dimension 0 trimmed to the slice).
   Shape ShardShape(int s) const;
-  /// `range` clipped to shard `s`'s rows, in the shard's coordinates.
-  Box LocalBox(const Box& range, int s) const;
+  /// `range` clipped to shard `s`'s rows, in the shard's coordinates:
+  /// `range` itself when it already is (a box inside shard 0), else a
+  /// copy with its rows clipped and shifted, made in `local`.
+  const Box& LocalBox(const Box& range, int s, Box& local) const;
   /// All-zero dense arrays, one pair per shard.
   DenseShards EmptyShards() const;
   /// Builds every shard from `dense` and publishes them as one

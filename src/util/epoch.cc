@@ -94,7 +94,7 @@ EpochDomain::~EpochDomain() {
     leftovers.swap(retired_);
   }
   for (const Retired& entry : leftovers) entry.deleter(entry.object);
-  retired_objects_->Add(-static_cast<int64_t>(leftovers.size()));
+  retired_objects_->Add(-static_cast<double>(leftovers.size()));
 }
 
 EpochDomain& EpochDomain::Global() {
@@ -102,22 +102,16 @@ EpochDomain& EpochDomain::Global() {
   return *domain;
 }
 
-EpochDomain::Slot* EpochDomain::ThreadSlot() {
-  epoch_internal::ThreadSlots::Entry& entry =
-      epoch_internal::CurrentThreadSlots().EntryFor(this);
-  if (entry.slot == nullptr) {
-    for (Slot& slot : slots_) {
-      bool expected = false;
-      if (slot.claimed.compare_exchange_strong(expected, true,
-                                               std::memory_order_acq_rel)) {
-        entry.slot = &slot;
-        break;
-      }
+EpochDomain::Slot* EpochDomain::ClaimSlot() {
+  for (Slot& slot : slots_) {
+    bool expected = false;
+    if (slot.claimed.compare_exchange_strong(expected, true,
+                                             std::memory_order_acq_rel)) {
+      return &slot;
     }
-    RPS_CHECK_MSG(entry.slot != nullptr,
-                  "EpochDomain: more than kMaxSlots threads pinning");
   }
-  return static_cast<Slot*>(entry.slot);
+  RPS_CHECK_MSG(false, "EpochDomain: more than kMaxSlots threads pinning");
+  return nullptr;
 }
 
 void EpochDomain::ReleaseSlot(void* opaque_slot) {
@@ -130,11 +124,15 @@ void EpochDomain::Pin() {
   epoch_internal::ThreadSlots::Entry& entry =
       epoch_internal::CurrentThreadSlots().EntryFor(this);
   if (entry.depth++ > 0) return;  // nested pin: outer one holds
-  Slot* slot = ThreadSlot();
+  if (entry.slot == nullptr) entry.slot = ClaimSlot();
+  Slot* slot = static_cast<Slot*>(entry.slot);
   const uint64_t epoch = global_epoch_.load(std::memory_order_relaxed);
-  slot->state.store((epoch << 1) | 1, std::memory_order_seq_cst);
-  // Order the slot publication before any version-pointer load the
-  // pinned section performs; pairs with the fence in TryAdvance.
+  // The store may be relaxed: the fence orders it before any
+  // version-pointer load the pinned section performs. It pairs with
+  // the fence in TryAdvance: if this fence comes first, the advancing
+  // scan sees the slot; otherwise this section's loads see the
+  // writer's unpublishing swap.
+  slot->state.store((epoch << 1) | 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
@@ -173,7 +171,7 @@ bool EpochDomain::TryAdvance() {
   if (global_epoch_.compare_exchange_strong(expected, epoch + 1,
                                             std::memory_order_seq_cst)) {
     advance_total_->Increment();
-    epoch_gauge_->Set(static_cast<int64_t>(epoch + 1));
+    epoch_gauge_->Set(static_cast<double>(epoch + 1));
     return true;
   }
   return false;  // another writer advanced first; that still counts
@@ -215,7 +213,7 @@ int64_t EpochDomain::Reclaim() {
   const int64_t freed = static_cast<int64_t>(to_free.size());
   if (freed > 0) {
     reclaimed_total_->Increment(freed);
-    retired_objects_->Add(-freed);
+    retired_objects_->Add(-static_cast<double>(freed));
   }
   return freed;
 }

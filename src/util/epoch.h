@@ -79,7 +79,8 @@ class EpochDomain {
 
   /// RAII pin: while alive, no object retired at or after the pinned
   /// epoch is freed. Nests freely (inner guards are no-ops). Pinning
-  /// is wait-free: one relaxed load, one seq_cst store, one fence.
+  /// is wait-free: one relaxed load, one relaxed store, one seq_cst
+  /// fence (the one locked instruction of a pin).
   class Guard {
    public:
     explicit Guard(EpochDomain& domain) : domain_(domain) {
@@ -143,8 +144,8 @@ class EpochDomain {
 
   void Pin();
   void Unpin();
-  /// Claims (first use) and returns this thread's slot in this domain.
-  Slot* ThreadSlot();
+  /// Claims a free slot for the calling thread's first pin.
+  Slot* ClaimSlot();
   /// Returns a slot to the free pool (thread-exit cleanup).
   static void ReleaseSlot(void* opaque_slot);
   /// Advances the global epoch if every pinned slot has observed it.

@@ -101,6 +101,11 @@ class Result {
     RPS_CHECK_MSG(!std::get<Status>(data_).ok(),
                   "Result constructed from OK status without a value");
   }
+  /// Constructs the value in place from `args`, so a large T is built
+  /// where the Result holds it instead of being moved in.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : data_(std::in_place_index<0>, std::forward<Args>(args)...) {}
 
   bool ok() const { return std::holds_alternative<T>(data_); }
 

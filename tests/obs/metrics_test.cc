@@ -10,21 +10,29 @@
 namespace rps::obs {
 namespace {
 
-TEST(RelaxedCounterTest, CarriesValueAcrossCopies) {
-  RelaxedCounter counter;
-  counter.Increment(41);
-  counter.Increment();
+TEST(PerThreadCellsTest, CarriesValueAcrossCopies) {
+  PerThreadCells<2> cells;
+  cells.Add(0, 41);
+  cells.Add(0, 1);
+  cells.Add(1, 7);
 
-  const RelaxedCounter copy = counter;
-  EXPECT_EQ(copy.Load(), 42);
+  const PerThreadCells<2> copy = cells;
+  EXPECT_EQ(copy.Sum(0), 42);
+  EXPECT_EQ(copy.Sum(1), 7);
 
-  RelaxedCounter assigned;
-  assigned = counter;
-  EXPECT_EQ(assigned.Load(), 42);
+  PerThreadCells<2> assigned;
+  assigned.Add(0, 5);
+  assigned = cells;
+  EXPECT_EQ(assigned.Sum(0), 42);
+  EXPECT_EQ(assigned.Sum(1), 7);
 
-  counter.Reset();
-  EXPECT_EQ(counter.Load(), 0);
-  EXPECT_EQ(copy.Load(), 42);  // copies are independent
+  cells.Reset();
+  EXPECT_EQ(cells.Sum(0), 0);
+  EXPECT_EQ(copy.Sum(0), 42);  // copies are independent
+  int64_t totals[2];
+  copy.SumAll(totals);
+  EXPECT_EQ(totals[0], 42);
+  EXPECT_EQ(totals[1], 7);
 }
 
 TEST(CounterTest, IncrementAndReset) {

@@ -1,8 +1,10 @@
 #include "olap/sharded_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -99,6 +101,47 @@ TEST(ShardedEngineTest, InsertBatchIsAllOrNothing) {
   ASSERT_TRUE(engine.InsertBatch(good).ok());
   EXPECT_EQ(engine.generation(), before + 1);  // one publish per batch
   EXPECT_DOUBLE_EQ(engine.Sum(RangeQuery()).value(), 7);
+}
+
+// Values a CSV row can carry (any int64, "nan") that lie outside every
+// dimension: Load rejects them and InsertBatch fails whole, whichever
+// dimension holds them, and no cell changes.
+TEST(ShardedEngineTest, HostileValuesAreRejectedWithAStatus) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double nan = std::nan("");
+  const Schema schema("MEASURE", {Dimension::Integer("age", 18, 60),
+                                  Dimension::Binned("amount", 0.0, 8.0, 8),
+                                  Dimension::Integer("day", -3, 4)});
+  const auto rec = [](int64_t age, double amount, int64_t day,
+                      double measure) {
+    return OlapRecord{{age, amount, day}, measure};
+  };
+  const std::vector<OlapRecord> hostile = {
+      rec(kMin, 1.0, 0, 1), rec(kMax, 1.0, 0, 1), rec(20, nan, 0, 1),
+      rec(20, 1.0, kMin, 1), rec(20, 1.0, kMax, 1)};
+  ShardedOlapEngine engine(schema, EngineMethod::kRelativePrefixSum, 3,
+                           nullptr);
+  std::vector<OlapRecord> records = hostile;
+  records.push_back(rec(18, 0.5, -3, 2));
+  records.push_back(rec(77, 7.5, 0, 3));
+  const IngestReport report = engine.Load(records);
+  EXPECT_EQ(report.accepted, 2);
+  EXPECT_EQ(report.rejected, static_cast<int64_t>(hostile.size()));
+  EXPECT_DOUBLE_EQ(engine.Sum(RangeQuery()).value(), 5);
+  EXPECT_EQ(engine.Count(RangeQuery()).value(), 2);
+
+  const uint64_t before = engine.generation();
+  for (const OlapRecord& bad : hostile) {
+    const std::vector<OlapRecord> batch = {rec(40, 2.0, 1, 4), bad};
+    EXPECT_FALSE(engine.InsertBatch(batch).ok());
+    EXPECT_FALSE(engine.Insert(bad).ok());
+  }
+  EXPECT_EQ(engine.generation(), before);
+  EXPECT_DOUBLE_EQ(engine.Sum(RangeQuery()).value(), 5);
+  EXPECT_EQ(engine.Count(RangeQuery()).value(), 2);
+  EXPECT_DOUBLE_EQ(
+      engine.Sum(RangeQuery().WhereIntBetween("age", 40, 40)).value(), 0);
 }
 
 TEST(ShardedEngineTest, GenerationAdvancesOncePerPublish) {
